@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's BFS/enumeration code paths:
 distances come from Floyd-Warshall on a dense matrix, colourings from a
-DFS two-colouring, and the isomorphism-class oracle enumerates *labeled*
-n-vertex n-edge graphs directly. Only canonical_form is shared, since
-the point of that oracle is to compare class sets.
+DFS two-colouring, and the two isomorphism-class oracles build their
+graphs without the library's enumerator: one from *labeled* n-vertex
+n-edge graphs, one from unlabeled free trees plus one edge. Only
+canonical_form is shared, since the point of those oracles is to
+compare class sets.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import networkx as nx
 
 from wiener_unicyclic import Graph, canonical_form
 
@@ -108,3 +112,33 @@ def labeled_unicyclic_bipartite_classes(n: int) -> dict[tuple[int, int], set[byt
         key = (min(len(a), len(b)), max(len(a), len(b)))
         out.setdefault(key, set()).add(canonical_form(g))
     return out
+
+
+def _trees(n: int) -> list[Graph]:
+    """All unlabeled trees on n vertices (networkx's free-tree generator)."""
+    return [
+        Graph.from_edges(n, [tuple(sorted(e)) for e in t.edges()])
+        for t in nx.nonisomorphic_trees(n)
+    ]
+
+
+def tree_plus_edge_classes(p: int, q: int) -> set[bytes]:
+    """Canonical forms of all unicyclic bipartite graphs with parts (p, q).
+
+    Deleting a cycle edge of such a graph leaves a spanning tree with the
+    same colour classes, so every class is some unlabeled tree on p + q
+    vertices with colour classes of sizes {p, q} plus one edge joining
+    the two classes; the candidates are deduplicated by canonical form.
+    """
+    classes: set[bytes] = set()
+    for tree in _trees(p + q):
+        coloring = dfs_two_coloring(tree)
+        assert coloring is not None, "a tree is bipartite"
+        a, b = coloring
+        if sorted((len(a), len(b))) != [p, q]:
+            continue
+        for u in a:
+            for v in b:
+                if not tree.adj[u] >> v & 1:
+                    classes.add(canonical_form(tree.with_edge(u, v)))
+    return classes
