@@ -3,13 +3,21 @@
 A small exact-combinatorics toolkit: immutable bitmask graphs with
 distance invariants, builders for the onion/broom families and their
 closed-form Wiener values, an isomorphism-free enumerator for connected
-unicyclic bipartite graphs with given part sizes, and brute-force
+unicyclic bipartite graphs with given part sizes (bracelets of rooted
+trees around an even cycle, each with its Wiener index), and brute-force
 verifiers that compare the enumerated optima against the predicted
 constructions.
 """
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form
-from .enumeration import DEFAULT_MAX_N, EnumSpec, count_classes, enumerate_unicyclic_bipartite
+from .enumeration import (
+    DEFAULT_MAX_N,
+    EnumSpec,
+    UnicyclicClass,
+    count_classes,
+    enumerate_unicyclic_bipartite,
+    unicyclic_classes,
+)
 from .families import (
     BroomParams,
     OnionParams,
@@ -78,6 +86,7 @@ __all__ = [
     "StructuralCheck",
     "TableRow",
     "UNREACHABLE",
+    "UnicyclicClass",
     "all_pairs_distances",
     "bipartition",
     "build_broom",
@@ -106,6 +115,7 @@ __all__ = [
     "theorem_polynomial",
     "transmission",
     "transmissions",
+    "unicyclic_classes",
     "verify_both",
     "verify_max",
     "verify_min",

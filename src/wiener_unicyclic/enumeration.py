@@ -1,26 +1,45 @@
 """Isomorphism-free enumeration of connected unicyclic bipartite graphs.
 
-Strategy: every connected unicyclic bipartite graph is a spanning tree
-plus one extra edge, and deleting a cycle edge leaves a tree with the
-same colour classes. So for fixed part sizes (p, q) it suffices to take
-each unlabeled tree on p+q vertices whose colour classes have sizes
-{p, q}, add every non-edge joining the two classes (this closes exactly
-one even cycle), and deduplicate the results by canonical form. Trees
-come from networkx's unlabeled tree generator; everything downstream is
-exact and deterministic: the final stream is sorted by canonical form,
-so worker count and generation order never show through.
+A connected unicyclic graph is a cycle with a rooted tree hanging at each
+cycle vertex, and it is bipartite exactly when the cycle is even. Two
+such graphs are isomorphic exactly when their sequences of rooted trees
+around the cycle agree up to rotation and reflection, so each class is
+one *bracelet* whose beads are rooted trees. The enumerator lists those
+bracelets directly and never compares two graphs:
+
+* **Rooted trees.** Every rooted tree on up to n - 3 vertices (the most
+  one tree can take beside a 4-cycle) gets an integer id, smaller trees
+  first; a tree is the sorted tuple of its children's ids, so equal
+  trees get equal ids.
+* **Bracelets.** For each cycle length L = 4, 6, ..., n the
+  Fredricksen-Kessler-Maiorana recursion lists, in lexicographic order,
+  every sequence of L tree ids of total size n that is the least of its
+  L rotations (a necklace). Keeping those that are also no larger than
+  every rotation of their reversal leaves one sequence per bracelet
+  (Sawada, "Generating bracelets in constant amortized time", 2001).
+  Colouring cycle vertex 0 fixes both colour classes; the last bead is
+  only drawn from trees that make them {p, q}.
+* **Wiener index.** With s_i, D_i and Q_i the size, depth sum and sum of
+  squared non-root subtree sizes of the tree at cycle vertex i,
+  W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
+  where d_C is the distance along the cycle. No BFS is needed.
+
+The class stream comes in a fixed order (cycle length, then tree ids)
+whatever the worker count: workers split the search by its second-level
+branches and their results are merged back into that order. Only
+``enumerate_unicyclic_bipartite`` builds every graph, and it pays one
+canonical form per class.
 """
 
 from __future__ import annotations
 
+import heapq
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator
-
-import networkx as nx
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
-from .graphs import Graph, bits
+from .graphs import Graph
 
 DEFAULT_MAX_N = 14
 
@@ -50,59 +69,187 @@ class EnumSpec:
         return self.p + self.q
 
 
-def _trees(n: int) -> list[Graph]:
-    """All unlabeled trees on n vertices as bitmask graphs."""
-    out = []
-    for t in nx.nonisomorphic_trees(n):
-        out.append(Graph.from_edges(n, [tuple(sorted(e)) for e in t.edges()]))
+class RootedTrees:
+    """Every unlabeled rooted tree on at most ``max_size`` vertices.
+
+    Ids run by size, and within one size by the number of vertices at odd
+    depth, so ``span(s, o)`` is a contiguous id range. Per id the table
+    holds the children's ids, the size, the depth sum D, the sum Q of
+    squared subtree sizes over non-root vertices, and the number of
+    vertices at odd depth.
+    """
+
+    def __init__(self, max_size: int) -> None:
+        self.children: list[tuple[int, ...]] = []
+        self.size: list[int] = []
+        self.depth_sum: list[int] = []
+        self.square_sum: list[int] = []
+        self.odd: list[int] = []
+        # bounds[s][o]: first id of size s with o odd-depth vertices
+        self.bounds: list[list[int]] = [[0, 0]]
+        for s in range(1, max_size + 1):
+            self.bounds.append([len(self.size)])  # first(s) while size s is built
+            trees = sorted(
+                (sum(self.size[c] - self.odd[c] for c in kids), kids)
+                for kids in self._forests(s - 1, 0)
+            )
+            first = len(self.size)
+            bounds = [first] * (s + 1)
+            for odd, kids in trees:
+                bounds[odd + 1] = len(self.size) + 1
+                self.children.append(kids)
+                self.size.append(s)
+                self.depth_sum.append(sum(self.depth_sum[c] + self.size[c] for c in kids))
+                self.square_sum.append(sum(self.square_sum[c] + self.size[c] ** 2 for c in kids))
+                self.odd.append(odd)
+            for o in range(1, s + 1):
+                bounds[o] = max(bounds[o], bounds[o - 1])
+            self.bounds[s] = bounds
+        self.bounds.append([len(self.size)])
+
+    def _forests(self, total: int, low: int) -> Iterator[tuple[int, ...]]:
+        """Sorted id tuples, each id at least ``low``, of total size ``total``."""
+        if total == 0:
+            yield ()
+            return
+        for c in range(low, self.first(total + 1)):
+            rest = total - self.size[c]
+            if rest == 0 or rest >= self.size[c]:
+                for tail in self._forests(rest, c):
+                    yield (c,) + tail
+
+    def first(self, size: int) -> int:
+        """The smallest id of a tree with ``size`` vertices (or more)."""
+        return self.bounds[size][0]
+
+    def span(self, size: int, odd: int) -> range:
+        """Ids of the trees with ``size`` vertices, ``odd`` of them at odd depth."""
+        if not 0 <= odd < size:
+            return range(0)
+        return range(self.bounds[size][odd], self.bounds[size][odd + 1])
+
+    def wiener(self, ids: Sequence[int]) -> int:
+        """Wiener index of the even cycle carrying these trees in order."""
+        size = self.size
+        sizes = [size[t] for t in ids]
+        n = sum(sizes)
+        total = n * sum(self.depth_sum[t] for t in ids) - sum(self.square_sum[t] for t in ids)
+        length = len(sizes)
+        half = length // 2
+        for k in range(1, half):
+            total += k * sum(sizes[i] * sizes[i - k] for i in range(length))
+        return total + half * sum(sizes[i] * sizes[i + half] for i in range(half))
+
+    def graph(self, ids: Sequence[int]) -> Graph:
+        """The cycle 0, 1, ..., L-1 with tree ``ids[i]`` rooted at vertex i."""
+        length = len(ids)
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        stack = list(enumerate(ids))
+        n = length
+        while stack:
+            v, t = stack.pop()
+            for c in self.children[t]:
+                edges.append((v, n))
+                stack.append((n, c))
+                n += 1
+        return Graph.from_edges(n, edges)
+
+
+@dataclass(frozen=True)
+class UnicyclicClass:
+    """One isomorphism class: tree ids around the cycle, and its Wiener index."""
+
+    wiener: int
+    trees: tuple[int, ...]
+    table: RootedTrees = field(repr=False, compare=False)
+
+    def graph(self) -> Graph:
+        """A representative graph (cycle vertices first, not canonically labeled)."""
+        return self.table.graph(self.trees)
+
+
+def _search(
+    p: int, q: int, shard: int = 0, shards: int = 1, table: RootedTrees | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(W, tree ids) of every class with parts (p, q), in stream order.
+
+    With ``shards`` > 1, only the second-level branches whose running
+    index is ``shard`` modulo ``shards`` are searched.
+    """
+    n = p + q
+    trees = table if table is not None else RootedTrees(n - 3)
+    size, odd, first, span = trees.size, trees.odd, trees.first, trees.span
+    out: list[tuple[int, tuple[int, ...]]] = []
+    branch = 0
+
+    for length in range(4, n + 1, 2):
+        a = [0] * (length + 1)  # a[1..length]; a[0] is the recursion's sentinel
+
+        def leaf() -> None:
+            seq = tuple(a[1:])
+            rev = seq[::-1]
+            for k in range(length):
+                if rev[k:] + rev[:k] < seq:
+                    return
+            out.append((trees.wiener(seq), seq))
+
+        def extend(t: int, period: int, used: int, colour: int) -> None:
+            # colour counts the vertices coloured like cycle vertex 0
+            nonlocal branch
+            if t == 3 and shards > 1:
+                branch += 1
+                if branch % shards != shard:
+                    return
+            low = a[t - period]
+            rest = n - used
+            if t == length:
+                # the last root has cycle vertex 0's colour on its odd levels
+                for o in sorted({p - colour, q - colour}):
+                    ids = span(rest, o)
+                    for j in range(max(low, ids.start), ids.stop):
+                        a[t] = j
+                        if length % (period if j == low else t) == 0:
+                            leaf()
+                return
+            # every later bead is at least a[1], so at least as large
+            smallest = size[a[1]] if t > 1 else 0
+            most = (rest // length) if t == 1 else rest - (length - t) * smallest
+            for j in range(low, first(min(most, n - 3) + 1)):
+                a[t] = j
+                extend(
+                    t + 1,
+                    period if j == low else t,
+                    used + size[j],
+                    colour + (size[j] - odd[j] if t % 2 else odd[j]),
+                )
+
+        extend(1, 1, 0, 0)
     return out
 
 
-def _tree_color_classes(g: Graph) -> tuple[int, int]:
-    """The two colour-class bitmasks of a tree (BFS layering from 0)."""
-    even = frontier = 1
-    odd = 0
-    seen = 1
-    parity = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        parity ^= 1
-        if parity:
-            odd |= frontier
-        else:
-            even |= frontier
-    return even, odd
+def unicyclic_classes(spec: EnumSpec, *, workers: int = 1) -> Iterator[UnicyclicClass]:
+    """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
 
-
-def _classes_from_trees(trees: list[Graph], p: int, q: int) -> set[bytes]:
-    """Canonical forms of all tree-plus-admissible-edge candidates."""
-    classes: set[bytes] = set()
-    for tree in trees:
-        even, odd = _tree_color_classes(tree)
-        sizes = sorted((even.bit_count(), odd.bit_count()))
-        if sizes != [p, q]:
-            continue
-        for u in bits(even):
-            candidates = odd & ~tree.adj[u]
-            for v in bits(candidates):
-                classes.add(canonical_form(tree.with_edge(u, v)))
-    return classes
-
-
-def _enumerate_classes(spec: EnumSpec, workers: int = 1) -> set[bytes]:
-    trees = _trees(spec.n)
-    if workers <= 1 or len(trees) < 2 * workers:
-        return _classes_from_trees(trees, spec.p, spec.q)
-    chunks = [trees[i::workers] for i in range(workers)]
-    merged: set[bytes] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_classes_from_trees, chunks, [spec.p] * workers, [spec.q] * workers):
-            merged |= part
-    return merged
+    The order is fixed (cycle length, then tree ids) for every worker
+    count; ``workers`` > 1 splits the search over one process pool.
+    """
+    table = RootedTrees(spec.n - 3)
+    if workers <= 1:
+        found: Iterable[tuple[int, tuple[int, ...]]] = _search(spec.p, spec.q, table=table)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(
+                    _search,
+                    [spec.p] * workers,
+                    [spec.q] * workers,
+                    range(workers),
+                    [workers] * workers,
+                )
+            )
+        found = heapq.merge(*parts, key=lambda c: (len(c[1]), c[1]))
+    for w, ids in found:
+        yield UnicyclicClass(w, ids, table)
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec, *, workers: int = 1) -> Iterator[Graph]:
@@ -111,10 +258,11 @@ def enumerate_unicyclic_bipartite(spec: EnumSpec, *, workers: int = 1) -> Iterat
     The representative itself is canonically labeled, so the stream is
     byte-for-byte identical however the work was split.
     """
-    for key in sorted(_enumerate_classes(spec, workers)):
+    forms = sorted(canonical_form(c.graph()) for c in unicyclic_classes(spec, workers=workers))
+    for key in forms:
         yield graph_from_canonical(key)
 
 
 def count_classes(spec: EnumSpec, *, workers: int = 1) -> int:
     """Number of isomorphism classes the stream would yield."""
-    return len(_enumerate_classes(spec, workers))
+    return sum(1 for _ in unicyclic_classes(spec, workers=workers))

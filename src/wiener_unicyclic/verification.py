@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .canon import canonical_form
-from .enumeration import DEFAULT_MAX_N, EnumSpec, enumerate_unicyclic_bipartite
+from .canon import canonical_form, graph_from_canonical
+from .enumeration import DEFAULT_MAX_N, EnumSpec, UnicyclicClass, unicyclic_classes
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -92,10 +92,10 @@ class ExtremalReport:
         }
 
 
-def _optimizer_witnesses(graphs: Iterable[Graph]) -> tuple[OptimizerWitness, ...]:
-    ws = [OptimizerWitness(canonical_form(g), graph6_encode(g)) for g in graphs]
-    ws.sort(key=lambda w: w.canon)
-    return tuple(ws)
+def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWitness, ...]:
+    """Witnesses sorted by canonical form; graph6 of the canonically labeled graph."""
+    forms = sorted(canonical_form(c.graph()) for c in classes)
+    return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
 
 
 def verify_both(
@@ -106,19 +106,19 @@ def verify_both(
     classes = 0
     best_max: int | None = None
     best_min: int | None = None
-    argmax: list[Graph] = []
-    argmin: list[Graph] = []
-    for g in enumerate_unicyclic_bipartite(spec, workers=workers):
+    argmax: list[UnicyclicClass] = []
+    argmin: list[UnicyclicClass] = []
+    for c in unicyclic_classes(spec, workers=workers):
         classes += 1
-        w = wiener_index(g)
+        w = c.wiener
         if best_max is None or w > best_max:
-            best_max, argmax = w, [g]
+            best_max, argmax = w, [c]
         elif w == best_max:
-            argmax.append(g)
+            argmax.append(c)
         if best_min is None or w < best_min:
-            best_min, argmin = w, [g]
+            best_min, argmin = w, [c]
         elif w == best_min:
-            argmin.append(g)
+            argmin.append(c)
     if best_max is None or best_min is None:
         raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
 
@@ -306,16 +306,8 @@ def check_structural_consequences(
     p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1
 ) -> list[StructuralCheck]:
     """Structure report for every brute-force maximizer at (p, q)."""
-    spec = EnumSpec(p, q, max_n)
-    best: int | None = None
-    argmax: list[Graph] = []
-    for g in enumerate_unicyclic_bipartite(spec, workers=workers):
-        w = wiener_index(g)
-        if best is None or w > best:
-            best, argmax = w, [g]
-        elif w == best:
-            argmax.append(g)
-    return [structural_checks(g) for g in argmax]
+    mx = verify_both(p, q, max_n=max_n, workers=workers)[0]
+    return [structural_checks(graph_from_canonical(w.canon)) for w in mx.optimizers]
 
 
 # ---------------------------------------------------------------------------

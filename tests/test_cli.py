@@ -1,6 +1,9 @@
 """Command-line behaviour: records, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -151,3 +154,13 @@ def test_output_file_option(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "wiener (closed form): 46" in target.read_text()
+
+
+def test_cli_import_does_not_load_networkx():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, wiener_unicyclic.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

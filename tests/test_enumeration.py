@@ -14,9 +14,12 @@ from wiener_unicyclic import (
     extremal_onion_params,
     graph6_encode,
     is_unicyclic,
+    wiener_index,
 )
 
-from oracles import labeled_unicyclic_bipartite_classes
+from wiener_unicyclic.enumeration import RootedTrees, unicyclic_classes
+
+from oracles import _trees, labeled_unicyclic_bipartite_classes, tree_plus_edge_classes
 
 
 def test_spec_validation():
@@ -68,9 +71,7 @@ def test_yields_valid_graphs_without_duplicates():
 
 
 def test_tree_source_counts_are_correct():
-    # unlabeled tree counts for n = 1..12, a fixed anchor for the generator
-    from wiener_unicyclic.enumeration import _trees
-
+    # unlabeled tree counts for n = 1..12, a fixed anchor for the oracle's generator
     known = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
     for n, expected in zip(range(4, 13), known[3:]):
         assert len(_trees(n)) == expected
@@ -103,3 +104,36 @@ def test_worker_count_does_not_change_stream():
 def test_count_matches_stream_length():
     spec = EnumSpec(3, 6)
     assert count_classes(spec) == len(list(enumerate_unicyclic_bipartite(spec)))
+
+
+def test_rooted_tree_counts_are_correct():
+    # unlabeled rooted tree counts for n = 1..12 (OEIS A000081)
+    known = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+    table = RootedTrees(12)
+    assert table.size == sorted(table.size)
+    assert [table.size.count(s) for s in range(1, 13)] == known
+    assert len(set(table.children)) == len(table.children)
+
+
+def test_matches_tree_plus_edge_route():
+    for n in range(4, 11):
+        for p in range(2, n // 2 + 1):
+            spec = EnumSpec(p, n - p)
+            mine = [canonical_form(c.graph()) for c in unicyclic_classes(spec)]
+            assert len(set(mine)) == len(mine), (p, n - p)
+            assert set(mine) == tree_plus_edge_classes(p, n - p), (p, n - p)
+
+
+def test_structural_wiener_matches_bfs():
+    for n in range(4, 13):
+        for p in range(2, n // 2 + 1):
+            for c in unicyclic_classes(EnumSpec(p, n - p)):
+                assert c.wiener == wiener_index(c.graph()), c.trees
+
+
+def test_class_stream_order_does_not_depend_on_workers():
+    spec = EnumSpec(5, 7)
+    seq = [(c.wiener, c.trees) for c in unicyclic_classes(spec, workers=1)]
+    par = [(c.wiener, c.trees) for c in unicyclic_classes(spec, workers=2)]
+    assert seq == par
+    assert seq == sorted(seq, key=lambda c: (len(c[1]), c[1]))

@@ -12,13 +12,18 @@ from wiener_unicyclic import (
     coalesce,
     graph6_decode,
     graph6_encode,
+    is_unicyclic,
     random_connected_graph,
     transmission,
     transmissions,
     wiener_index,
 )
 
-from oracles import floyd_warshall
+from wiener_unicyclic.enumeration import RootedTrees
+
+from oracles import floyd_warshall, wiener_via_floyd_warshall
+
+ROOTED_TREES = RootedTrees(6)
 
 
 @st.composite
@@ -76,3 +81,19 @@ def test_coalescence_wiener_decomposition(g, h, rnd):
         + (g.n - 1) * transmission(h, w)
         + (h.n - 1) * transmission(g, u)
     )
+
+
+@st.composite
+def trees_on_even_cycles(draw):
+    length = draw(st.sampled_from([4, 6, 8, 10]))
+    tree = st.integers(min_value=0, max_value=len(ROOTED_TREES.size) - 1)
+    return draw(st.lists(tree, min_size=length, max_size=length))
+
+
+@settings(max_examples=60)
+@given(trees_on_even_cycles())
+def test_structural_wiener_matches_floyd_warshall(ids):
+    g = ROOTED_TREES.graph(ids)
+    assert is_unicyclic(g) and bipartition(g) is not None
+    assert g.n == sum(ROOTED_TREES.size[t] for t in ids)
+    assert ROOTED_TREES.wiener(ids) == wiener_via_floyd_warshall(g)
