@@ -34,6 +34,7 @@ canonical form per class.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -85,26 +86,23 @@ class RootedTrees:
         self.depth_sum: list[int] = []
         self.square_sum: list[int] = []
         self.odd: list[int] = []
-        # bounds[s][o]: first id of size s with o odd-depth vertices
-        self.bounds: list[list[int]] = [[0, 0]]
+        # bounds[s][o]: first id of size s with o (or more) odd-depth vertices
+        self.bounds: list[list[int]] = [[0]]
         for s in range(1, max_size + 1):
-            self.bounds.append([len(self.size)])  # first(s) while size s is built
+            first = len(self.size)
+            self.bounds.append([first])  # first(s) while the trees of size s are built
             trees = sorted(
                 (sum(self.size[c] - self.odd[c] for c in kids), kids)
                 for kids in self._forests(s - 1, 0)
             )
-            first = len(self.size)
-            bounds = [first] * (s + 1)
             for odd, kids in trees:
-                bounds[odd + 1] = len(self.size) + 1
                 self.children.append(kids)
                 self.size.append(s)
                 self.depth_sum.append(sum(self.depth_sum[c] + self.size[c] for c in kids))
                 self.square_sum.append(sum(self.square_sum[c] + self.size[c] ** 2 for c in kids))
                 self.odd.append(odd)
-            for o in range(1, s + 1):
-                bounds[o] = max(bounds[o], bounds[o - 1])
-            self.bounds[s] = bounds
+            odds = [odd for odd, _ in trees]
+            self.bounds[s] = [first + bisect_left(odds, o) for o in range(s + 1)]
         self.bounds.append([len(self.size)])
 
     def _forests(self, total: int, low: int) -> Iterator[tuple[int, ...]]:
