@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -41,6 +40,9 @@ from .verification import (
 DEFAULT_SEED = 1
 
 USAGE_ERROR = 2
+
+#: --threads is kept so existing command lines still parse; it must be positive.
+THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
 @dataclass(frozen=True)
@@ -94,21 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common(sp, ("text", "csv", "json"), "text")
 
     sp = sub.add_parser("enumerate", help="stream all isomorphism classes as graph6")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common(sp, ("graph6", "text", "json"), "graph6")
 
     sp = sub.add_parser("table", help="extremal summary for all (p, q) within bounds")
     sp.add_argument("--p-max", type=int, default=None, dest="p_max")
     sp.add_argument("--n-max", type=int, default=10, dest="n_max")
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(sp, ("text", "csv", "json"), "text")
 

@@ -24,20 +24,19 @@ bracelets directly and never compares two graphs:
   W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
   where d_C is the distance along the cycle. No BFS is needed.
 
-The class stream comes in a fixed order (cycle length, then tree ids)
-whatever the worker count: workers split the search by its second-level
-branches and their results are merged back into that order. Only
-``enumerate_unicyclic_bipartite`` builds every graph, and it pays one
-canonical form per class.
+The class stream comes in a fixed order (cycle length, then tree ids).
+The search runs in the calling process: at the orders the canonical-form
+guard allows it takes at most about a second per (p, q), less than a
+process pool costs to start, so ``workers`` is accepted and ignored.
+Only ``enumerate_unicyclic_bipartite`` builds every graph, and it pays
+one canonical form per class.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
 from .graphs import Graph
@@ -166,19 +165,11 @@ class UnicyclicClass:
         return self.table.graph(self.trees)
 
 
-def _search(
-    p: int, q: int, shard: int = 0, shards: int = 1, table: RootedTrees | None = None
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(W, tree ids) of every class with parts (p, q), in stream order.
-
-    With ``shards`` > 1, only the second-level branches whose running
-    index is ``shard`` modulo ``shards`` are searched.
-    """
+def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ...]]]:
+    """(W, tree ids) of every class with parts (p, q), in stream order."""
     n = p + q
-    trees = table if table is not None else RootedTrees(n - 3)
     size, odd, first, span = trees.size, trees.odd, trees.first, trees.span
     out: list[tuple[int, tuple[int, ...]]] = []
-    branch = 0
 
     for length in range(4, n + 1, 2):
         a = [0] * (length + 1)  # a[1..length]; a[0] is the recursion's sentinel
@@ -193,11 +184,6 @@ def _search(
 
         def extend(t: int, period: int, used: int, colour: int) -> None:
             # colour counts the vertices coloured like cycle vertex 0
-            nonlocal branch
-            if t == 3 and shards > 1:
-                branch += 1
-                if branch % shards != shard:
-                    return
             low = a[t - period]
             rest = n - used
             if t == length:
@@ -228,33 +214,19 @@ def _search(
 def unicyclic_classes(spec: EnumSpec, *, workers: int = 1) -> Iterator[UnicyclicClass]:
     """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
 
-    The order is fixed (cycle length, then tree ids) for every worker
-    count; ``workers`` > 1 splits the search over one process pool.
+    The order is fixed: cycle length, then tree ids. ``workers`` is
+    accepted for compatibility and ignored; the search is serial.
     """
     table = RootedTrees(spec.n - 3)
-    if workers <= 1:
-        found: Iterable[tuple[int, tuple[int, ...]]] = _search(spec.p, spec.q, table=table)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _search,
-                    [spec.p] * workers,
-                    [spec.q] * workers,
-                    range(workers),
-                    [workers] * workers,
-                )
-            )
-        found = heapq.merge(*parts, key=lambda c: (len(c[1]), c[1]))
-    for w, ids in found:
+    for w, ids in _search(spec.p, spec.q, table):
         yield UnicyclicClass(w, ids, table)
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec, *, workers: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class, in canonical-form order.
 
-    The representative itself is canonically labeled, so the stream is
-    byte-for-byte identical however the work was split.
+    The representative itself is canonically labeled, so the stream does
+    not depend on how the classes were found.
     """
     forms = sorted(canonical_form(c.graph()) for c in unicyclic_classes(spec, workers=workers))
     for key in forms:

@@ -131,9 +131,6 @@ def test_structural_wiener_matches_bfs():
                 assert c.wiener == wiener_index(c.graph()), c.trees
 
 
-def test_class_stream_order_does_not_depend_on_workers():
-    spec = EnumSpec(5, 7)
-    seq = [(c.wiener, c.trees) for c in unicyclic_classes(spec, workers=1)]
-    par = [(c.wiener, c.trees) for c in unicyclic_classes(spec, workers=2)]
-    assert seq == par
-    assert seq == sorted(seq, key=lambda c: (len(c[1]), c[1]))
+def test_class_stream_order_is_cycle_length_then_tree_ids():
+    seq = [c.trees for c in unicyclic_classes(EnumSpec(5, 7))]
+    assert seq == sorted(seq, key=lambda ids: (len(ids), ids))
