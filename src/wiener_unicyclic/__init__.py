@@ -62,8 +62,6 @@ from .verification import (
     random_tree,
     structural_checks,
     verify_both,
-    verify_max,
-    verify_min,
 )
 
 __version__ = "0.1.0"
@@ -117,8 +115,6 @@ __all__ = [
     "transmissions",
     "unicyclic_classes",
     "verify_both",
-    "verify_max",
-    "verify_min",
     "wiener_index",
     "write_graph6_file",
 ]

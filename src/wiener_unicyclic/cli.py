@@ -23,18 +23,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
+from .canon import CANONICAL_MAX_VERTICES
 from .enumeration import DEFAULT_MAX_N, EnumSpec, enumerate_unicyclic_bipartite
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
-from .graphs import DisconnectedGraphError, bipartition, transmissions
-from .verification import (
-    extremal_table,
-    lemma_harness,
-    verify_max,
-    verify_min,
-)
+from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
+from .verification import TableRow, extremal_table, lemma_harness, verify_both
 
 #: Seed used whenever --seed is not given.
 DEFAULT_SEED = 1
@@ -44,27 +40,8 @@ USAGE_ERROR = 2
 #: --threads is kept so existing command lines still parse; it must be positive.
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated options for one invocation."""
-
-    command: str
-    fmt: str = "text"
-    output: str | None = None
-    seed: int = DEFAULT_SEED
-    trials: int = 10000
-    max_n: int = DEFAULT_MAX_N
-    threads: int = 1
-    p: int = 0
-    q: int = 0
-    k: int = 0
-    l: int = 0
-    m: int = 0
-    direction: str = "max"
-    input_path: str = "-"
-    p_max: int | None = None
-    n_max: int = 10
+#: table takes --seed like the other batch commands, but nothing it runs is random.
+TABLE_SEED_HELP = "accepted for compatibility; the table is not randomized"
 
 
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_fmt: str) -> None:
@@ -111,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=10, dest="n_max")
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help=TABLE_SEED_HELP)
     _add_common(sp, ("text", "csv", "json"), "text")
 
     sp = sub.add_parser("harness", help="seeded randomized lemma checks")
@@ -122,48 +99,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(
-        command=ns.command,
-        fmt=getattr(ns, "fmt", "text"),
-        output=getattr(ns, "output", None),
-        seed=getattr(ns, "seed", DEFAULT_SEED),
-        trials=getattr(ns, "trials", 10000),
-        max_n=getattr(ns, "max_n", DEFAULT_MAX_N),
-        threads=getattr(ns, "threads", 1),
-        p=getattr(ns, "p", 0),
-        q=getattr(ns, "q", 0),
-        k=getattr(ns, "k", 0),
-        l=getattr(ns, "l", 0),
-        m=getattr(ns, "m", 0),
-        direction="min" if getattr(ns, "min", False) else "max",
-        input_path=getattr(ns, "input", "-"),
-        p_max=getattr(ns, "p_max", None),
-        n_max=getattr(ns, "n_max", 10),
-    )
-    if cfg.command in ("verify", "enumerate"):
-        if not (2 <= cfg.p <= cfg.q):
-            parser.error(f"need 2 <= p <= q, got ({cfg.p}, {cfg.q})")
-        if cfg.p + cfg.q > cfg.max_n:
-            parser.error(f"p + q = {cfg.p + cfg.q} exceeds --max-n {cfg.max_n}")
-    if cfg.command == "onion":
-        if cfg.k < 0 or cfg.m < 0 or cfg.l < 1:
-            parser.error(f"need k >= 0, l >= 1, m >= 0, got ({cfg.k}, {cfg.l}, {cfg.m})")
-    if cfg.command == "table":
-        if cfg.n_max < 4:
+def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
+    """Reject out-of-range options with a usage error (exit 2)."""
+    if ns.command in ("verify", "enumerate"):
+        if not (2 <= ns.p <= ns.q):
+            parser.error(f"need 2 <= p <= q, got ({ns.p}, {ns.q})")
+        if ns.p + ns.q > ns.max_n:
+            parser.error(f"p + q = {ns.p + ns.q} exceeds --max-n {ns.max_n}")
+    if ns.command == "onion":
+        if ns.k < 0 or ns.m < 0 or ns.l < 1:
+            parser.error(f"need k >= 0, l >= 1, m >= 0, got ({ns.k}, {ns.l}, {ns.m})")
+        n = OnionParams(ns.k, ns.l, ns.m).n
+        if n > MAX_VERTICES:
+            parser.error(
+                f"On({ns.k}, {ns.l}, {ns.m}) has {n} vertices; graphs hold at most {MAX_VERTICES}"
+            )
+    if ns.command == "table":
+        if ns.n_max < 4:
             parser.error("--n-max must be at least 4")
-        if cfg.n_max > cfg.max_n:
-            parser.error(f"--n-max {cfg.n_max} exceeds --max-n {cfg.max_n}")
-    if cfg.command == "harness" and cfg.trials < 1:
+        if ns.n_max > ns.max_n:
+            parser.error(f"--n-max {ns.n_max} exceeds --max-n {ns.max_n}")
+    if ns.command == "harness" and ns.trials < 1:
         parser.error("--trials must be positive")
     if getattr(ns, "threads", 1) < 1:
         parser.error("--threads must be positive")
-    return cfg
+    if getattr(ns, "max_n", 0) > CANONICAL_MAX_VERTICES:
+        parser.error(
+            f"--max-n {ns.max_n} exceeds the canonical-form limit {CANONICAL_MAX_VERTICES}"
+        )
 
 
-def _write(cfg: CliConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _write(ns: argparse.Namespace, text: str) -> None:
+    if ns.output:
+        with open(ns.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -188,11 +156,11 @@ def _json_lines(records: list[dict]) -> str:
 _WIENER_COLUMNS = ["line", "n", "edges", "wiener", "t_min", "t_max", "p", "q", "error"]
 
 
-def cmd_wiener(cfg: CliConfig) -> int:
-    if cfg.input_path == "-":
+def cmd_wiener(ns: argparse.Namespace) -> int:
+    if ns.input == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(cfg.input_path) as fh:
+        with open(ns.input) as fh:
             lines = fh.read().splitlines()
     records: list[dict] = []
     for idx, line in enumerate(lines, start=1):
@@ -220,11 +188,11 @@ def cmd_wiener(cfg: CliConfig) -> int:
             rec["p"], rec["q"] = bp.sizes
         records.append(rec)
 
-    if cfg.fmt == "json":
-        _write(cfg, _json_lines(records))
-    elif cfg.fmt == "csv":
+    if ns.fmt == "json":
+        _write(ns, _json_lines(records))
+    elif ns.fmt == "csv":
         rows = [[r.get(c, "") for c in _WIENER_COLUMNS] for r in records]
-        _write(cfg, _csv_text(_WIENER_COLUMNS, rows))
+        _write(ns, _csv_text(_WIENER_COLUMNS, rows))
     else:
         out = []
         for r in records:
@@ -236,44 +204,28 @@ def cmd_wiener(cfg: CliConfig) -> int:
                     f"line={r['line']} n={r['n']} edges={r['edges']} wiener={r['wiener']}"
                     f" t_min={r['t_min']} t_max={r['t_max']} parts={parts}"
                 )
-        _write(cfg, "".join(s + "\n" for s in out))
+        _write(ns, "".join(s + "\n" for s in out))
     return 0
 
 
-def cmd_onion(cfg: CliConfig) -> int:
-    params = OnionParams(cfg.k, cfg.l, cfg.m)
+def cmd_onion(ns: argparse.Namespace) -> int:
+    params = OnionParams(ns.k, ns.l, ns.m)
     g = build_onion(params)
     w = onion_wiener_closed_form(params)
     t_v, t_ul = onion_transmissions(params)
     g6 = graph6_encode(g)
-    if cfg.fmt == "graph6":
-        _write(cfg, g6 + "\n")
-    elif cfg.fmt == "json":
-        _write(
-            cfg,
-            _json_lines(
-                [
-                    {
-                        "k": cfg.k,
-                        "l": cfg.l,
-                        "m": cfg.m,
-                        "n": g.n,
-                        "graph6": g6,
-                        "wiener": w,
-                        "t_v": t_v,
-                        "t_path_end": t_ul,
-                    }
-                ]
-            ),
-        )
-    elif cfg.fmt == "csv":
-        header = ["k", "l", "m", "n", "graph6", "wiener", "t_v", "t_path_end"]
-        _write(cfg, _csv_text(header, [[cfg.k, cfg.l, cfg.m, g.n, g6, w, t_v, t_ul]]))
+    rec = dict(k=ns.k, l=ns.l, m=ns.m, n=g.n, graph6=g6, wiener=w, t_v=t_v, t_path_end=t_ul)
+    if ns.fmt == "graph6":
+        _write(ns, g6 + "\n")
+    elif ns.fmt == "json":
+        _write(ns, _json_lines([rec]))
+    elif ns.fmt == "csv":
+        _write(ns, _csv_text(list(rec), [list(rec.values())]))
     else:
         _write(
-            cfg,
+            ns,
             (
-                f"onion k={cfg.k} l={cfg.l} m={cfg.m} n={g.n}\n"
+                f"onion k={ns.k} l={ns.l} m={ns.m} n={g.n}\n"
                 f"graph6: {g6}\n"
                 f"wiener (closed form): {w}\n"
                 f"transmission at pendant-cycle vertex: {t_v}\n"
@@ -313,64 +265,46 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    fn = verify_min if cfg.direction == "min" else verify_max
-    report = fn(cfg.p, cfg.q, max_n=cfg.max_n, workers=cfg.threads)
-    if cfg.fmt == "json":
-        _write(cfg, _json_lines([report.as_record()]))
-    elif cfg.fmt == "csv":
+def cmd_verify(ns: argparse.Namespace) -> int:
+    report = verify_both(ns.p, ns.q, max_n=ns.max_n)[1 if ns.min else 0]
+    if ns.fmt == "json":
+        _write(ns, _json_lines([report.as_record()]))
+    elif ns.fmt == "csv":
         rec = report.as_record()
         rec["optimizers"] = ";".join(w.graph6 for w in report.optimizers)
         header = list(rec)
-        _write(cfg, _csv_text(header, [[rec[c] for c in header]]))
+        _write(ns, _csv_text(header, [[rec[c] for c in header]]))
     else:
-        _write(cfg, _verify_text(report))
+        _write(ns, _verify_text(report))
     return 0 if report.ok else 1
 
 
-def cmd_enumerate(cfg: CliConfig) -> int:
-    spec = EnumSpec(cfg.p, cfg.q, cfg.max_n)
-    graphs = list(enumerate_unicyclic_bipartite(spec, workers=cfg.threads))
-    if cfg.fmt == "json":
+def cmd_enumerate(ns: argparse.Namespace) -> int:
+    graphs = list(enumerate_unicyclic_bipartite(EnumSpec(ns.p, ns.q, ns.max_n)))
+    if ns.fmt == "json":
         records = []
         for g in graphs:
             ts = transmissions(g)
             records.append({"graph6": graph6_encode(g), "n": g.n, "wiener": sum(ts) // 2})
-        _write(cfg, _json_lines(records))
-    elif cfg.fmt == "text":
+        _write(ns, _json_lines(records))
+    elif ns.fmt == "text":
         out = []
         for g in graphs:
             ts = transmissions(g)
             out.append(f"{graph6_encode(g)} n={g.n} wiener={sum(ts) // 2}")
-        _write(cfg, "".join(s + "\n" for s in out))
+        _write(ns, "".join(s + "\n" for s in out))
     else:
-        _write(cfg, "".join(graph6_encode(g) + "\n" for g in graphs))
+        _write(ns, "".join(graph6_encode(g) + "\n" for g in graphs))
     return 0
 
 
-_TABLE_COLUMNS = [
-    "p",
-    "q",
-    "classes",
-    "min_wiener",
-    "max_wiener",
-    "closed_form",
-    "polynomial",
-    "max_value_match",
-    "max_graph_match",
-    "max_unique",
-    "polynomial_match",
-    "min_graph_match",
-]
-
-
-def cmd_table(cfg: CliConfig) -> int:
-    rows = extremal_table(cfg.p_max, cfg.n_max, max_n=cfg.max_n, workers=cfg.threads)
-    if cfg.fmt == "json":
-        _write(cfg, _json_lines([r.as_record() for r in rows]))
-    elif cfg.fmt == "csv":
-        data = [[r.as_record()[c] for c in _TABLE_COLUMNS] for r in rows]
-        _write(cfg, _csv_text(_TABLE_COLUMNS, data))
+def cmd_table(ns: argparse.Namespace) -> int:
+    rows = extremal_table(ns.p_max, ns.n_max, max_n=ns.max_n)
+    if ns.fmt == "json":
+        _write(ns, _json_lines([r.as_record() for r in rows]))
+    elif ns.fmt == "csv":
+        header = [f.name for f in fields(TableRow)]
+        _write(ns, _csv_text(header, [list(r.as_record().values()) for r in rows]))
     else:
         out = []
         for r in rows:
@@ -382,17 +316,17 @@ def cmd_table(cfg: CliConfig) -> int:
             if not r.polynomial_match:
                 line += f" WARNING:polynomial={r.polynomial}"
             out.append(line)
-        _write(cfg, "".join(s + "\n" for s in out))
+        _write(ns, "".join(s + "\n" for s in out))
     return 0 if all(r.ok for r in rows) else 1
 
 
-def cmd_harness(cfg: CliConfig) -> int:
-    report = lemma_harness(cfg.seed, cfg.trials)
-    if cfg.fmt == "json":
-        _write(cfg, _json_lines([report.as_record()]))
+def cmd_harness(ns: argparse.Namespace) -> int:
+    report = lemma_harness(ns.seed, ns.trials)
+    if ns.fmt == "json":
+        _write(ns, _json_lines([report.as_record()]))
     else:
         _write(
-            cfg,
+            ns,
             (
                 f"harness seed={report.seed} trials={report.trials}\n"
                 f"  coalescence identity checked: {report.identity_checked}\n"
@@ -417,8 +351,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cfg = _config(parser, ns)
-    return _HANDLERS[cfg.command](cfg)
+    _check(parser, ns)
+    return _HANDLERS[ns.command](ns)
 
 
 def entry() -> None:

@@ -27,9 +27,8 @@ bracelets directly and never compares two graphs:
 The class stream comes in a fixed order (cycle length, then tree ids).
 The search runs in the calling process: at the orders the canonical-form
 guard allows it takes at most about a second per (p, q), less than a
-process pool costs to start, so ``workers`` is accepted and ignored.
-Only ``enumerate_unicyclic_bipartite`` builds every graph, and it pays
-one canonical form per class.
+process pool costs to start. Only ``enumerate_unicyclic_bipartite``
+builds every graph, and it pays one canonical form per class.
 """
 
 from __future__ import annotations
@@ -211,28 +210,27 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ..
     return out
 
 
-def unicyclic_classes(spec: EnumSpec, *, workers: int = 1) -> Iterator[UnicyclicClass]:
+def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
     """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
 
-    The order is fixed: cycle length, then tree ids. ``workers`` is
-    accepted for compatibility and ignored; the search is serial.
+    The order is fixed: cycle length, then tree ids.
     """
     table = RootedTrees(spec.n - 3)
     for w, ids in _search(spec.p, spec.q, table):
         yield UnicyclicClass(w, ids, table)
 
 
-def enumerate_unicyclic_bipartite(spec: EnumSpec, *, workers: int = 1) -> Iterator[Graph]:
+def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
     """One representative per isomorphism class, in canonical-form order.
 
     The representative itself is canonically labeled, so the stream does
     not depend on how the classes were found.
     """
-    forms = sorted(canonical_form(c.graph()) for c in unicyclic_classes(spec, workers=workers))
+    forms = sorted(canonical_form(c.graph()) for c in unicyclic_classes(spec))
     for key in forms:
         yield graph_from_canonical(key)
 
 
-def count_classes(spec: EnumSpec, *, workers: int = 1) -> int:
+def count_classes(spec: EnumSpec) -> int:
     """Number of isomorphism classes the stream would yield."""
-    return sum(1 for _ in unicyclic_classes(spec, workers=workers))
+    return sum(1 for _ in unicyclic_classes(spec))

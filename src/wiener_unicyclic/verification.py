@@ -1,11 +1,12 @@
 """Brute-force extremal search and property harnesses.
 
-``verify_max``/``verify_min`` sweep the full isomorphism-free
-enumeration for given part sizes and compare the true optimum against
-the predicted constructions: the onion graph with its closed-form value
-on the max side, the two-pendant-cluster cycle on the min side. The
-published polynomial for the maximum is evaluated and reported but never
-asserted; it is known to disagree with the verified construction.
+``verify_both`` sweeps the full isomorphism-free enumeration for given
+part sizes once and returns a max and a min report, each comparing the
+true optimum against a predicted construction: the onion graph with its
+closed-form value on the max side, the two-pendant-cluster cycle on the
+min side. The published polynomial for the maximum is evaluated and
+reported but never asserted; it is known to disagree with the verified
+construction.
 
 ``lemma_harness`` stress-tests the two coalescence facts everything
 else leans on: the exact Wiener decomposition of a one-vertex
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
@@ -34,6 +35,15 @@ from .families import (
 )
 from .graph6 import graph6_encode
 from .graphs import Graph, bipartition, bits, transmission, wiener_index
+
+
+def _hex_bytes(items: list[tuple[str, object]]) -> dict:
+    return {key: value.hex() if isinstance(value, bytes) else value for key, value in items}
+
+
+def _record(report) -> dict:
+    """JSON-ready dict of a report dataclass, fields in order; bytes become hex."""
+    return asdict(report, dict_factory=_hex_bytes)
 
 
 @dataclass(frozen=True)
@@ -72,24 +82,7 @@ class ExtremalReport:
 
     def as_record(self) -> dict:
         """JSON-ready dict; canonical forms are hex strings."""
-        return {
-            "p": self.p,
-            "q": self.q,
-            "direction": self.direction,
-            "classes": self.classes,
-            "optimum": self.optimum,
-            "optimizers": [
-                {"canon": w.canon.hex(), "graph6": w.graph6} for w in self.optimizers
-            ],
-            "predicted_graph6": self.predicted_graph6,
-            "predicted_canon": self.predicted_canon.hex(),
-            "predicted_value_closed_form": self.predicted_value_closed_form,
-            "predicted_value_polynomial": self.predicted_value_polynomial,
-            "value_match": self.value_match,
-            "graph_match": self.graph_match,
-            "uniqueness": self.uniqueness,
-            "polynomial_match": self.polynomial_match,
-        }
+        return _record(self)
 
 
 def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWitness, ...]:
@@ -98,17 +91,53 @@ def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWi
     return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
 
 
+def _report(
+    p: int,
+    q: int,
+    direction: str,
+    classes: int,
+    argopt: list[UnicyclicClass],
+    predicted: Graph,
+    predicted_value: int,
+    polynomial: int | None,
+) -> ExtremalReport:
+    """Compare the optimizers of one direction with the predicted graph and value."""
+    optimum = argopt[0].wiener
+    witnesses = _optimizer_witnesses(argopt)
+    predicted_canon = canonical_form(predicted)
+    return ExtremalReport(
+        p=p,
+        q=q,
+        direction=direction,
+        classes=classes,
+        optimum=optimum,
+        optimizers=witnesses,
+        predicted_graph6=graph6_encode(predicted),
+        predicted_canon=predicted_canon,
+        predicted_value_closed_form=predicted_value,
+        predicted_value_polynomial=polynomial,
+        value_match=optimum == predicted_value,
+        graph_match=predicted_canon in {w.canon for w in witnesses},
+        uniqueness=len(witnesses) == 1,
+        polynomial_match=None if polynomial is None else optimum == polynomial,
+    )
+
+
 def verify_both(
     p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1
 ) -> tuple[ExtremalReport, ExtremalReport]:
-    """Max and min reports from a single enumeration sweep."""
+    """Max and min reports, in that order, from a single enumeration sweep.
+
+    ``workers`` is accepted for compatibility and ignored; the search is
+    serial.
+    """
     spec = EnumSpec(p, q, max_n)
     classes = 0
     best_max: int | None = None
     best_min: int | None = None
     argmax: list[UnicyclicClass] = []
     argmin: list[UnicyclicClass] = []
-    for c in unicyclic_classes(spec, workers=workers):
+    for c in unicyclic_classes(spec):
         classes += 1
         w = c.wiener
         if best_max is None or w > best_max:
@@ -122,59 +151,13 @@ def verify_both(
     if best_max is None or best_min is None:
         raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
 
-    onion = build_onion(extremal_onion_params(p, q))
-    onion_canon = canonical_form(onion)
-    closed_form = onion_wiener_closed_form(extremal_onion_params(p, q))
-    polynomial = theorem_polynomial(p, q)
-    max_witnesses = _optimizer_witnesses(argmax)
-    max_report = ExtremalReport(
-        p=p,
-        q=q,
-        direction="max",
-        classes=classes,
-        optimum=best_max,
-        optimizers=max_witnesses,
-        predicted_graph6=graph6_encode(onion),
-        predicted_canon=onion_canon,
-        predicted_value_closed_form=closed_form,
-        predicted_value_polynomial=polynomial,
-        value_match=best_max == closed_form,
-        graph_match=onion_canon in {w.canon for w in max_witnesses},
-        uniqueness=len(max_witnesses) == 1,
-        polynomial_match=best_max == polynomial,
-    )
-
+    params = extremal_onion_params(p, q)
+    onion, closed_form = build_onion(params), onion_wiener_closed_form(params)
     mingraph = build_min_extremal(p, q)
-    min_canon = canonical_form(mingraph)
-    min_value = wiener_index(mingraph)
-    min_witnesses = _optimizer_witnesses(argmin)
-    min_report = ExtremalReport(
-        p=p,
-        q=q,
-        direction="min",
-        classes=classes,
-        optimum=best_min,
-        optimizers=min_witnesses,
-        predicted_graph6=graph6_encode(mingraph),
-        predicted_canon=min_canon,
-        predicted_value_closed_form=min_value,
-        predicted_value_polynomial=None,
-        value_match=best_min == min_value,
-        graph_match=min_canon in {w.canon for w in min_witnesses},
-        uniqueness=len(min_witnesses) == 1,
-        polynomial_match=None,
+    return (
+        _report(p, q, "max", classes, argmax, onion, closed_form, theorem_polynomial(p, q)),
+        _report(p, q, "min", classes, argmin, mingraph, wiener_index(mingraph), None),
     )
-    return max_report, min_report
-
-
-def verify_max(p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1) -> ExtremalReport:
-    """Exhaustively verify the maximal construction for part sizes (p, q)."""
-    return verify_both(p, q, max_n=max_n, workers=workers)[0]
-
-
-def verify_min(p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1) -> ExtremalReport:
-    """Exhaustively verify the minimal construction for part sizes (p, q)."""
-    return verify_both(p, q, max_n=max_n, workers=workers)[1]
 
 
 def cycle_six_is_min_optimizer(report: ExtremalReport) -> bool:
@@ -303,10 +286,10 @@ def structural_checks(g: Graph) -> StructuralCheck:
 
 
 def check_structural_consequences(
-    p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1
+    p: int, q: int, *, max_n: int = DEFAULT_MAX_N
 ) -> list[StructuralCheck]:
     """Structure report for every brute-force maximizer at (p, q)."""
-    mx = verify_both(p, q, max_n=max_n, workers=workers)[0]
+    mx = verify_both(p, q, max_n=max_n)[0]
     return [structural_checks(graph_from_canonical(w.canon)) for w in mx.optimizers]
 
 
@@ -342,14 +325,7 @@ class HarnessReport:
         return not self.counterexamples
 
     def as_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "identity_checked": self.identity_checked,
-            "monotonicity_checked": self.monotonicity_checked,
-            "monotonicity_skipped": self.monotonicity_skipped,
-            "counterexamples": [vars(c) for c in self.counterexamples],
-        }
+        return _record(self)
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -497,20 +473,7 @@ class TableRow:
         )
 
     def as_record(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "classes": self.classes,
-            "min_wiener": self.min_wiener,
-            "max_wiener": self.max_wiener,
-            "closed_form": self.closed_form,
-            "polynomial": self.polynomial,
-            "max_value_match": self.max_value_match,
-            "max_graph_match": self.max_graph_match,
-            "max_unique": self.max_unique,
-            "polynomial_match": self.polynomial_match,
-            "min_graph_match": self.min_graph_match,
-        }
+        return _record(self)
 
 
 def extremal_table(
@@ -518,7 +481,6 @@ def extremal_table(
     n_max: int = 10,
     *,
     max_n: int = DEFAULT_MAX_N,
-    workers: int = 1,
 ) -> list[TableRow]:
     """One row per (p, q) with 2 <= p <= q, p + q <= n_max, p <= p_max."""
     if n_max > max_n:
@@ -528,7 +490,7 @@ def extremal_table(
     rows = []
     for p in range(2, p_max + 1):
         for q in range(p, n_max - p + 1):
-            mx, mn = verify_both(p, q, max_n=max_n, workers=workers)
+            mx, mn = verify_both(p, q, max_n=max_n)
             rows.append(
                 TableRow(
                     p=p,

@@ -97,6 +97,30 @@ def test_verify_usage_error_on_bad_range(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "2", "2", "--max-n", "20"], "--max-n 20 exceeds the canonical-form limit 16"),
+        (["enumerate", "2", "2", "--max-n", "17"], "--max-n 17 exceeds the canonical-form limit 16"),
+        (["table", "--n-max", "6", "--max-n", "20"], "--max-n 20 exceeds the canonical-form limit 16"),
+        (["onion", "0", "100", "0"], "On(0, 100, 0) has 103 vertices; graphs hold at most 64"),
+        (["onion", "0", "58", "4"], "On(0, 58, 4) has 65 vertices; graphs hold at most 64"),
+        (["verify", "3", "3", "--threads", "0"], "--threads must be positive"),
+    ],
+)
+def test_limits_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_onion_at_vertex_limit_builds(capsys):
+    code, out, _ = run_cli(capsys, "onion", "0", "57", "4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0,57,4,64,")
+
+
 def test_enumerate_two_two_single_line(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "2", "2", "--threads", "1")
     assert code == 0

@@ -15,22 +15,20 @@ from wiener_unicyclic import (
     lemma_harness,
     structural_checks,
     verify_both,
-    verify_max,
-    verify_min,
 )
 from wiener_unicyclic.verification import cycle_six_is_min_optimizer
 
 
 class TestVerifyMax:
     def test_two_two(self):
-        r = verify_max(2, 2)
+        r = verify_both(2, 2)[0]
         assert r.classes == 1
         assert r.optimum == 8
         assert r.uniqueness and r.graph_match and r.value_match
         assert r.ok
 
     def test_three_three(self):
-        r = verify_max(3, 3)
+        r = verify_both(3, 3)[0]
         assert r.optimum == 29
         assert r.uniqueness
         assert r.optimizers[0].canon == canonical_form(build_onion(OnionParams(0, 3, 0)))
@@ -39,7 +37,7 @@ class TestVerifyMax:
         assert r.ok
 
     def test_two_five(self):
-        r = verify_max(2, 5)
+        r = verify_both(2, 5)[0]
         assert r.optimum == 42
         only = r.optimizers[0].canon
         assert only == canonical_form(build_onion(OnionParams(1, 1, 2)))
@@ -48,26 +46,26 @@ class TestVerifyMax:
     def test_witnesses_decode_to_optimum(self):
         from wiener_unicyclic import wiener_index
 
-        r = verify_max(3, 4)
+        r = verify_both(3, 4)[0]
         for w in r.optimizers:
             assert wiener_index(graph6_decode(w.graph6)) == r.optimum
 
     def test_record_is_json_ready(self):
         import json
 
-        r = verify_max(2, 3)
+        r = verify_both(2, 3)[0]
         text = json.dumps(r.as_record())
         assert '"optimum": 16' in text
 
 
 class TestVerifyMin:
     def test_two_two(self):
-        r = verify_min(2, 2)
+        r = verify_both(2, 2)[1]
         assert r.optimum == 8
         assert r.graph_match and r.uniqueness
 
     def test_three_three_has_cycle_six_too(self):
-        r = verify_min(3, 3)
+        r = verify_both(3, 3)[1]
         assert r.optimum == 27
         assert r.graph_match
         assert not r.uniqueness
@@ -76,13 +74,13 @@ class TestVerifyMin:
         assert canonical_form(build_min_extremal(3, 3)) in {w.canon for w in r.optimizers}
 
     def test_two_four(self):
-        r = verify_min(2, 4)
+        r = verify_both(2, 4)[1]
         assert r.optimizers[0].canon == canonical_form(build_min_extremal(2, 4))
         assert r.uniqueness
 
     def test_min_unique_elsewhere_small(self):
         for p, q in [(2, 3), (2, 5), (3, 4), (4, 4), (3, 5)]:
-            r = verify_min(p, q)
+            r = verify_both(p, q)[1]
             assert r.graph_match and r.uniqueness, (p, q)
 
 
