@@ -40,9 +40,6 @@ USAGE_ERROR = 2
 #: --threads is kept so existing command lines still parse; it must be positive.
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
-#: table takes --seed like the other batch commands, but nothing it runs is random.
-TABLE_SEED_HELP = "accepted for compatibility; the table is not randomized"
-
 
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_fmt: str) -> None:
     sp.add_argument("--format", choices=formats, default=default_fmt, dest="fmt")
@@ -88,7 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=10, dest="n_max")
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help=TABLE_SEED_HELP)
+    sp.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="accepted for compatibility; the table is not randomized",
+    )
     _add_common(sp, ("text", "csv", "json"), "text")
 
     sp = sub.add_parser("harness", help="seeded randomized lemma checks")
