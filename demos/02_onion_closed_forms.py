@@ -3,7 +3,8 @@
 An onion On(k, l, m) is a 4-cycle with k pendants at one antipodal
 vertex and a path on l vertices at the other, ending in m more pendants.
 The library ships exact closed forms for W, t(v) and t(u_l); here we
-cross-check them against plain BFS over a sweep of parameters.
+cross-check them against distances computed from the graph itself over a
+sweep of parameters.
 """
 
 from wiener_unicyclic import (

@@ -25,8 +25,8 @@ import json
 import sys
 from dataclasses import fields
 
-from .canon import CANONICAL_MAX_VERTICES
-from .enumeration import DEFAULT_MAX_N, EnumSpec, enumerate_unicyclic_bipartite
+from .canon import CANONICAL_MAX_VERTICES, graph_from_canonical
+from .enumeration import DEFAULT_MAX_N, EnumSpec, _canonical_classes
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
@@ -46,7 +46,8 @@ def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_f
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="wiener-unicyclic",
         description="Wiener indices and extremal verification for unicyclic bipartite graphs.",
@@ -98,11 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10000)
     _add_common(sp, ("text", "json"), "text")
 
-    return parser
+    return parser, sub.choices
 
 
 def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
-    """Reject out-of-range options with a usage error (exit 2)."""
+    """Reject out-of-range options with ``parser``'s usage error (exit 2)."""
     if ns.command in ("verify", "enumerate"):
         if not (2 <= ns.p <= ns.q):
             parser.error(f"need 2 <= p <= q, got ({ns.p}, {ns.q})")
@@ -282,21 +283,14 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
-    graphs = list(enumerate_unicyclic_bipartite(EnumSpec(ns.p, ns.q, ns.max_n)))
+    spec = EnumSpec(ns.p, ns.q, ns.max_n)
+    classes = [(graph6_encode(graph_from_canonical(key)), w) for key, w in _canonical_classes(spec)]
     if ns.fmt == "json":
-        records = []
-        for g in graphs:
-            ts = transmissions(g)
-            records.append({"graph6": graph6_encode(g), "n": g.n, "wiener": sum(ts) // 2})
-        _write(ns, _json_lines(records))
+        _write(ns, _json_lines([{"graph6": g6, "n": spec.n, "wiener": w} for g6, w in classes]))
     elif ns.fmt == "text":
-        out = []
-        for g in graphs:
-            ts = transmissions(g)
-            out.append(f"{graph6_encode(g)} n={g.n} wiener={sum(ts) // 2}")
-        _write(ns, "".join(s + "\n" for s in out))
+        _write(ns, "".join(f"{g6} n={spec.n} wiener={w}\n" for g6, w in classes))
     else:
-        _write(ns, "".join(graph6_encode(g) + "\n" for g in graphs))
+        _write(ns, "".join(g6 + "\n" for g6, _ in classes))
     return 0
 
 
@@ -351,9 +345,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
-    _check(parser, ns)
+    _check(commands[ns.command], ns)
     return _HANDLERS[ns.command](ns)
 
 

@@ -220,14 +220,18 @@ def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
         yield UnicyclicClass(w, ids, table)
 
 
+def _canonical_classes(spec: EnumSpec) -> list[tuple[bytes, int]]:
+    """(canonical form, Wiener index) of every class, sorted by canonical form."""
+    return sorted((canonical_form(c.graph()), c.wiener) for c in unicyclic_classes(spec))
+
+
 def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
     """One representative per isomorphism class, in canonical-form order.
 
     The representative itself is canonically labeled, so the stream does
     not depend on how the classes were found.
     """
-    forms = sorted(canonical_form(c.graph()) for c in unicyclic_classes(spec))
-    for key in forms:
+    for key, _ in _canonical_classes(spec):
         yield graph_from_canonical(key)
 
 

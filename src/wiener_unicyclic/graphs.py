@@ -1,10 +1,14 @@
 """Immutable bitset-backed simple graphs and distance invariants.
 
 Vertices are the integers ``0..n-1`` and the neighbourhood of each vertex
-is stored as a single int bitmask, which keeps the breadth-first sweeps
-cheap enough to run exhaustive searches over tens of thousands of small
-graphs. Everything is a pure function; operations that would change a
-graph return a new one instead.
+is stored as a single int bitmask. Transmissions, and through them the
+Wiener index, come from one kernel that grows the ball of every vertex at
+once: with B_d(v) the set of vertices within distance d of v, B_{d+1}(v)
+is the union of B_d(w) over v and its neighbours w, and the transmission
+is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
+per edge end. Single-source questions (a distance row, one transmission)
+use one BFS. Everything is a pure function; operations that would change
+a graph return a new one instead.
 """
 
 from __future__ import annotations
@@ -185,24 +189,6 @@ def _bfs_row(adj: Sequence[int], n: int, start: int) -> list[int]:
     return row
 
 
-def _bfs_transmission(adj: Sequence[int], full: int, start: int) -> int:
-    """Sum of distances from ``start``; -1 when the graph is not connected."""
-    seen = frontier = 1 << start
-    total = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        total += d * frontier.bit_count()
-    if seen != full:
-        return -1
-    return total
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; disconnected pairs get ``UNREACHABLE``."""
     rows = tuple(tuple(_bfs_row(g.adj, g.n, s)) for s in range(g.n))
@@ -212,24 +198,45 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 def transmission(g: Graph, v: int) -> int:
     """Sum of distances from ``v`` to every other vertex."""
     g.check_vertex(v)
-    t = _bfs_transmission(g.adj, (1 << g.n) - 1, v)
-    if t < 0:
+    row = _bfs_row(g.adj, g.n, v)
+    if UNREACHABLE in row:
         raise DisconnectedGraphError("transmission is undefined for disconnected graphs")
-    return t
+    return sum(row)
 
 
 def transmissions(g: Graph) -> tuple[int, ...]:
-    """Transmissions of all vertices (one BFS per vertex)."""
-    if g.n == 0:
+    """Transmissions of all vertices, from balls grown for every vertex at once.
+
+    Step d turns each vertex's ball B_d into B_{d+1} by OR-ing the balls of
+    its neighbours, reading only the previous step's list, and adds
+    n - |B_{d+1}| to the vertex's total. A vertex leaves the loop once its
+    ball holds every vertex. A ball that stops growing before that means
+    the graph is disconnected.
+    """
+    n = g.n
+    if n == 0:
         raise DisconnectedGraphError("graph has no vertices")
-    full = (1 << g.n) - 1
-    out = []
-    for v in range(g.n):
-        t = _bfs_transmission(g.adj, full, v)
-        if t < 0:
-            raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
-        out.append(t)
-    return tuple(out)
+    full = (1 << n) - 1
+    nbrs = [list(bits(a)) for a in g.adj]
+    ball = [1 << v for v in range(n)]
+    total = [n - 1] * n  # the d = 0 term: B_0(v) = {v}
+    growing = [v for v in range(n) if ball[v] != full]
+    while growing:
+        grown = ball.copy()
+        still = []
+        for v in growing:
+            b = ball[v]
+            for w in nbrs[v]:
+                b |= ball[w]
+            if b == ball[v]:
+                raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
+            grown[v] = b
+            if b != full:
+                total[v] += n - b.bit_count()
+                still.append(v)
+        ball = grown
+        growing = still
+    return tuple(total)
 
 
 def wiener_index(g: Graph) -> int:

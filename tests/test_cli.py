@@ -115,6 +115,23 @@ def test_limits_are_usage_errors(capsys, argv, message):
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "2", "2", "--max-n", "20"],
+        ["enumerate", "3", "2"],
+        ["table", "--n-max", "3"],
+        ["onion", "0", "0", "0"],
+        ["harness", "--trials", "0"],
+    ],
+)
+def test_usage_error_prints_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: wiener-unicyclic {argv[0]} ")
+
+
 def test_onion_at_vertex_limit_builds(capsys):
     code, out, _ = run_cli(capsys, "onion", "0", "57", "4", "--format", "csv")
     assert code == 0

@@ -51,6 +51,17 @@ def test_large_order_extended_size():
         assert line == nx_encode(g)
 
 
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_decode_matches_networkx_at_largest_orders(n):
+    G = nx.gnp_random_graph(n, 0.3, seed=n)
+    line = nx.to_graph6_bytes(G, header=False).strip()
+    assert line.startswith(b"~") == (n > 62)
+    g = graph6_decode(line.decode())
+    H = nx.from_graph6_bytes(line)
+    assert g.n == H.number_of_nodes()
+    assert g.edges() == sorted(tuple(sorted(e)) for e in H.edges())
+
+
 def test_decode_networkx_output():
     rng = random.Random(5)
     for _ in range(100):

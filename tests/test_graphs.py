@@ -17,6 +17,7 @@ from wiener_unicyclic import (
     build_star,
     is_unicyclic,
     random_connected_graph,
+    random_tree,
     transmission,
     transmissions,
     wiener_index,
@@ -153,6 +154,58 @@ class TestWienerAndTransmission:
             g = random_connected_graph(rng, 2, 10)
             ts = transmissions(g)
             assert wiener_index(g) * 2 == sum(ts)
+
+
+def fw_transmissions(g: Graph) -> list[int]:
+    return [int(sum(row)) for row in floyd_warshall(g)]
+
+
+def tree_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random labeled tree on n vertices plus ``extra`` random non-edges."""
+    g = random_tree(rng, n)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    for u, v in rng.sample(non_edges, extra):
+        g = g.with_edge(u, v)
+    return g
+
+
+class TestTransmissionsKernel:
+    """The all-sources kernel against Floyd-Warshall row sums."""
+
+    def test_extreme_diameters_and_small_orders(self):
+        complete = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+        # path of diameter 63, star of diameter 2, K_12, a single vertex
+        for g in (build_path(64), build_star(63), complete, Graph.from_edges(1, [])):
+            assert list(transmissions(g)) == fw_transmissions(g)
+
+    def test_random_trees(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            g = random_tree(rng, rng.randint(1, 64))
+            assert list(transmissions(g)) == fw_transmissions(g)
+
+    def test_unicyclic_and_dense_graphs(self):
+        rng = random.Random(4)
+        for _ in range(10):
+            for extra in (1, rng.randint(8, 128)):
+                g = tree_plus_edges(rng, rng.randint(16, 64), extra)
+                expected = fw_transmissions(g)
+                assert list(transmissions(g)) == expected
+                v = rng.randrange(g.n)
+                assert transmission(g, v) == expected[v]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # vertex 5 isolated
+            Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
+            Graph.from_edges(0, []),
+        ],
+        ids=["isolated-vertex", "two-components", "no-vertices"],
+    )
+    def test_disconnected_rejected(self, g):
+        with pytest.raises(DisconnectedGraphError):
+            transmissions(g)
 
 
 class TestBipartition:

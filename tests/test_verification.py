@@ -145,6 +145,14 @@ class TestLemmaHarness:
         b = lemma_harness(seed=7, trials=100)
         assert a == b
 
+    @pytest.mark.parametrize("seed, skipped", [(1, 1126), (2, 1161), (3, 1121)])
+    def test_counts_are_pinned(self, seed, skipped):
+        # recorded with one BFS per transmission, before the all-sources kernel
+        report = lemma_harness(seed=seed, trials=2000)
+        assert (report.identity_checked, report.monotonicity_checked) == (2000, 2000)
+        assert report.monotonicity_skipped == skipped
+        assert report.ok
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             lemma_harness(seed=1, trials=0)
