@@ -19,6 +19,12 @@ bracelets directly and never compares two graphs:
   (Sawada, "Generating bracelets in constant amortized time", 2001).
   Colouring cycle vertex 0 fixes both colour classes; the last bead is
   only drawn from trees that make them {p, q}.
+* **Colour bound.** Every bead at an odd cycle position (counting from 1)
+  adds between 1 (its root) and its size to the colour count of cycle
+  vertex 0, every bead at an even position between 0 and its size - 1.
+  So each bead is drawn only from the trees after which the beads still
+  to come can bring that count to p or q; tree ids within one size run
+  by odd-depth count, so those trees are a contiguous id range or two.
 * **Wiener index.** With s_i, D_i and Q_i the size, depth sum and sum of
   squared non-root subtree sizes of the tree at cycle vertex i,
   W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
@@ -72,10 +78,11 @@ class RootedTrees:
     """Every unlabeled rooted tree on at most ``max_size`` vertices.
 
     Ids run by size, and within one size by the number of vertices at odd
-    depth, so ``span(s, o)`` is a contiguous id range. Per id the table
-    holds the children's ids, the size, the depth sum D, the sum Q of
-    squared subtree sizes over non-root vertices, and the number of
-    vertices at odd depth.
+    depth, so the trees of size s with o to o' odd-depth vertices are the
+    ids ``bounds[s][o]`` to ``bounds[s][o' + 1]``. Per id the table holds
+    the children's ids, the size, the depth sum D, the sum Q of squared
+    subtree sizes over non-root vertices, and the number of vertices at
+    odd depth.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -84,7 +91,12 @@ class RootedTrees:
         self.depth_sum: list[int] = []
         self.square_sum: list[int] = []
         self.odd: list[int] = []
-        # bounds[s][o]: first id of size s with o (or more) odd-depth vertices
+        # bounds[s][o]: first id of size s with o (or more) odd-depth vertices.
+        # A row takes any o from -pad to pad - 1, where pad is the order of the
+        # graphs the table serves, and a search asks for no more: o > s reads
+        # as s, o < 0 wraps into a tail that reads as 0, and so an odd-count
+        # window that holds no tree is an empty id range.
+        pad = max_size + 3
         self.bounds: list[list[int]] = [[0]]
         for s in range(1, max_size + 1):
             first = len(self.size)
@@ -100,7 +112,8 @@ class RootedTrees:
                 self.square_sum.append(sum(self.square_sum[c] + self.size[c] ** 2 for c in kids))
                 self.odd.append(odd)
             odds = [odd for odd, _ in trees]
-            self.bounds[s] = [first + bisect_left(odds, o) for o in range(s + 1)]
+            row = [first + bisect_left(odds, o) for o in range(s + 1)]
+            self.bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
         self.bounds.append([len(self.size)])
 
     def _forests(self, total: int, low: int) -> Iterator[tuple[int, ...]]:
@@ -117,12 +130,6 @@ class RootedTrees:
     def first(self, size: int) -> int:
         """The smallest id of a tree with ``size`` vertices (or more)."""
         return self.bounds[size][0]
-
-    def span(self, size: int, odd: int) -> range:
-        """Ids of the trees with ``size`` vertices, ``odd`` of them at odd depth."""
-        if not 0 <= odd < size:
-            return range(0)
-        return range(self.bounds[size][odd], self.bounds[size][odd + 1])
 
     def wiener(self, ids: Sequence[int]) -> int:
         """Wiener index of the even cycle carrying these trees in order."""
@@ -167,7 +174,8 @@ class UnicyclicClass:
 def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ...]]]:
     """(W, tree ids) of every class with parts (p, q), in stream order."""
     n = p + q
-    size, odd, first, span = trees.size, trees.odd, trees.first, trees.span
+    size, odd, bounds = trees.size, trees.odd, trees.bounds
+    targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
     out: list[tuple[int, tuple[int, ...]]] = []
 
     for length in range(4, n + 1, 2):
@@ -187,9 +195,9 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ..
             rest = n - used
             if t == length:
                 # the last root has cycle vertex 0's colour on its odd levels
-                for o in sorted({p - colour, q - colour}):
-                    ids = span(rest, o)
-                    for j in range(max(low, ids.start), ids.stop):
+                b = bounds[rest]
+                for x in targets:
+                    for j in range(max(low, b[x - colour]), b[x - colour + 1]):
                         a[t] = j
                         if length % (period if j == low else t) == 0:
                             leaf()
@@ -197,14 +205,29 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ..
             # every later bead is at least a[1], so at least as large
             smallest = size[a[1]] if t > 1 else 0
             most = (rest // length) if t == 1 else rest - (length - t) * smallest
-            for j in range(low, first(min(most, n - 3) + 1)):
-                a[t] = j
-                extend(
-                    t + 1,
-                    period if j == low else t,
-                    used + size[j],
-                    colour + (size[j] - odd[j] if t % 2 else odd[j]),
-                )
+            # Colour bound: beads t+1..length add to colour at least one root
+            # per odd position and at most their size less one root per even
+            # position, so a bead of size s here may add c only if some target
+            # x lies in [floor + c, ceil - s + c].
+            k_even = length // 2 - t // 2
+            floor = colour + length - t - k_even
+            ceil = colour + rest - k_even
+            flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
+            for s in range(size[low], min(most, n - 3) + 1):
+                b, start = bounds[s], low
+                # odd-count windows, ascending; start skips where they overlap
+                for x in (reversed(targets) if flip else targets):
+                    lo, hi = (s + floor - x, ceil - x) if flip else (x - ceil + s, x - floor)
+                    stop = b[hi + 1]
+                    for j in range(max(start, b[lo]), stop):
+                        a[t] = j
+                        extend(
+                            t + 1,
+                            period if j == low else t,
+                            used + s,
+                            colour + (s - odd[j] if flip else odd[j]),
+                        )
+                    start = max(start, stop)
 
         extend(1, 1, 0, 0)
     return out

@@ -387,12 +387,12 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
         u = rng.randrange(n1)
         w = rng.randrange(n2)
         tg = transmissions(g)
+        w_at_u = None  # W(coalesce(g, u, h, w)), which both checks need
         if identity_checked < trials:
             th = transmissions(h)
-            merged, _ = coalesce(g, u, h, w)
-            lhs = wiener_index(merged)
+            w_at_u = wiener_index(coalesce(g, u, h, w)[0])
             rhs = sum(tg) // 2 + sum(th) // 2 + (n1 - 1) * th[w] + (n2 - 1) * tg[u]
-            if lhs != rhs:
+            if w_at_u != rhs:
                 bad.append(
                     LemmaCounterexample(
                         lemma="coalescence-identity",
@@ -401,7 +401,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
                         u=u,
                         v=None,
                         w=w,
-                        detail=f"W={lhs} but decomposition gives {rhs}",
+                        detail=f"W={w_at_u} but decomposition gives {rhs}",
                     )
                 )
             identity_checked += 1
@@ -411,9 +411,10 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
             if tu == tv:
                 mono_skipped += 1
             else:
-                lo, hi = (u, v) if tu < tv else (v, u)
-                w_lo = wiener_index(coalesce(g, lo, h, w)[0])
-                w_hi = wiener_index(coalesce(g, hi, h, w)[0])
+                if w_at_u is None:
+                    w_at_u = wiener_index(coalesce(g, u, h, w)[0])
+                w_at_v = wiener_index(coalesce(g, v, h, w)[0])
+                lo, hi, w_lo, w_hi = (u, v, w_at_u, w_at_v) if tu < tv else (v, u, w_at_v, w_at_u)
                 if not w_lo < w_hi:
                     bad.append(
                         LemmaCounterexample(

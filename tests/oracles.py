@@ -142,3 +142,45 @@ def tree_plus_edge_classes(p: int, q: int) -> set[bytes]:
                 if not tree.adj[u] >> v & 1:
                     classes.add(canonical_form(tree.with_edge(u, v)))
     return classes
+
+
+def bracelet_stream(p: int, q: int, table) -> list[tuple[int, ...]]:
+    """Every bracelet of ``table``'s rooted trees with parts (p, q), by brute force.
+
+    Each even cycle length takes every sequence of tree ids of total size
+    p + q, coloured level by level from ``table.children`` alone, and keeps
+    it when it is the least of its rotations and reflections. No bead
+    choice is pruned; the result is in (cycle length, ids) order, the
+    order the enumerator's class stream promises.
+    """
+    n = p + q
+
+    def levels(t: int) -> tuple[int, int]:
+        """(vertices at even depth, vertices at odd depth) of tree ``t``."""
+        even, odd = 1, 0
+        for c in table.children[t]:
+            c_even, c_odd = levels(c)
+            even, odd = even + c_odd, odd + c_even
+        return even, odd
+
+    by_size: dict[int, list[int]] = {}
+    for t, s in enumerate(table.size):
+        by_size.setdefault(s, []).append(t)
+    out = []
+    for length in range(4, n + 1, 2):
+        found = []
+        for sizes in itertools.product(range(1, n - length + 2), repeat=length):
+            if sum(sizes) != n:
+                continue
+            for seq in itertools.product(*(by_size[s] for s in sizes)):
+                # cycle vertices alternate colours; count cycle vertex 0's
+                colour = sum(levels(t)[i % 2] for i, t in enumerate(seq))
+                if colour not in (p, q):
+                    continue
+                turns = [seq[k:] + seq[:k] for k in range(length)]
+                rev = seq[::-1]
+                turns += [rev[k:] + rev[:k] for k in range(length)]
+                if seq == min(turns):
+                    found.append(seq)
+        out += sorted(found)
+    return out

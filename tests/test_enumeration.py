@@ -19,7 +19,12 @@ from wiener_unicyclic import (
 
 from wiener_unicyclic.enumeration import RootedTrees, unicyclic_classes
 
-from oracles import _trees, labeled_unicyclic_bipartite_classes, tree_plus_edge_classes
+from oracles import (
+    _trees,
+    bracelet_stream,
+    labeled_unicyclic_bipartite_classes,
+    tree_plus_edge_classes,
+)
 
 
 def test_spec_validation():
@@ -106,6 +111,27 @@ def test_rooted_tree_counts_are_correct():
     assert table.size == sorted(table.size)
     assert [table.size.count(s) for s in range(1, 13)] == known
     assert len(set(table.children)) == len(table.children)
+
+
+def test_odd_count_bounds_read_as_clamped():
+    table = RootedTrees(9)
+    for s in range(1, 10):
+        row = table.bounds[s]
+        for o in range(-12, 12):
+            assert row[o] == row[min(max(o, 0), s)], (s, o)
+        for o in range(s):
+            ids = range(row[o], row[o + 1])
+            assert all(table.size[t] == s and table.odd[t] == o for t in ids)
+        assert sum(len(range(row[o], row[o + 1])) for o in range(s)) == table.size.count(s)
+
+
+def test_class_stream_is_every_bracelet_in_order():
+    # the pruned search against a brute-force bracelet list over the same ids
+    for n in range(4, 12):
+        table = RootedTrees(n - 3)
+        for p in range(2, n // 2 + 1):
+            mine = [c.trees for c in unicyclic_classes(EnumSpec(p, n - p))]
+            assert mine == bracelet_stream(p, n - p, table), (p, n - p)
 
 
 def test_matches_tree_plus_edge_route():
