@@ -41,6 +41,11 @@ USAGE_ERROR = 2
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
+def _add_search_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+
+
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_fmt: str) -> None:
     sp.add_argument("--format", choices=formats, default=default_fmt, dest="fmt")
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
@@ -70,22 +75,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     group.add_argument("--min", action="store_true", help="verify the minimum side")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    _add_search_flags(sp)
     _add_common(sp, ("text", "csv", "json"), "text")
 
     sp = sub.add_parser("enumerate", help="stream all isomorphism classes as graph6")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    _add_search_flags(sp)
     _add_common(sp, ("graph6", "text", "json"), "graph6")
 
     sp = sub.add_parser("table", help="extremal summary for all (p, q) within bounds")
     sp.add_argument("--p-max", type=int, default=None, dest="p_max")
     sp.add_argument("--n-max", type=int, default=10, dest="n_max")
-    sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    _add_search_flags(sp)
     sp.add_argument(
         "--seed",
         type=int,

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
+from .families import _check_part_sizes
 from .graphs import Graph
 
 DEFAULT_MAX_N = 14
@@ -58,10 +59,7 @@ class EnumSpec:
     max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        if self.q < self.p:
-            raise ValueError(f"need p <= q, got ({self.p}, {self.q})")
+        _check_part_sizes(self.p, self.q)
         if self.max_n > CANONICAL_MAX_VERTICES:
             raise ValueError(
                 f"max_n {self.max_n} exceeds canonical-form limit {CANONICAL_MAX_VERTICES}"
@@ -121,15 +119,11 @@ class RootedTrees:
         if total == 0:
             yield ()
             return
-        for c in range(low, self.first(total + 1)):
+        for c in range(low, self.bounds[total + 1][0]):
             rest = total - self.size[c]
             if rest == 0 or rest >= self.size[c]:
                 for tail in self._forests(rest, c):
                     yield (c,) + tail
-
-    def first(self, size: int) -> int:
-        """The smallest id of a tree with ``size`` vertices (or more)."""
-        return self.bounds[size][0]
 
     def wiener(self, ids: Sequence[int]) -> int:
         """Wiener index of the even cycle carrying these trees in order."""
@@ -238,7 +232,11 @@ def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
 
     The order is fixed: cycle length, then tree ids.
     """
-    table = RootedTrees(spec.n - 3)
+    yield from _classes(spec, RootedTrees(spec.n - 3))
+
+
+def _classes(spec: EnumSpec, table: RootedTrees) -> Iterator[UnicyclicClass]:
+    """``unicyclic_classes`` on a table of trees with at least ``spec.n - 3`` vertices."""
     for w, ids in _search(spec.p, spec.q, table):
         yield UnicyclicClass(w, ids, table)
 

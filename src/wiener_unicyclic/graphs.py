@@ -6,9 +6,11 @@ Wiener index, come from one kernel that grows the ball of every vertex at
 once: with B_d(v) the set of vertices within distance d of v, B_{d+1}(v)
 is the union of B_d(w) over v and its neighbours w, and the transmission
 is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
-per edge end. Single-source questions (a distance row, one transmission)
-use one BFS. Everything is a pure function; operations that would change
-a graph return a new one instead.
+per edge end. Single-source questions use one bitmask BFS helper, which
+lists the vertices at each distance from a start vertex: it serves
+distance rows (and so one transmission), connectivity and bipartition.
+Everything is a pure function; operations that would change a graph
+return a new one instead.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        return _reach(self.adj, 0) == (1 << self.n) - 1
+        return sum(_bfs_layers(self.adj, 0)) == (1 << self.n) - 1
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,6 @@ class DistanceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-    def __getitem__(self, uv: tuple[int, int]) -> int:
-        u, v = uv
         return self.rows[u][v]
 
 
@@ -160,31 +158,27 @@ class Bipartition:
         return (self.p, self.q)
 
 
-def _reach(adj: Sequence[int], start: int) -> int:
-    """Bitmask of all vertices reachable from ``start``."""
-    seen = frontier = 1 << start
+def _bfs_layers(adj: Sequence[int], start: int, blocked: int = 0) -> Iterator[int]:
+    """Yield the vertices at distance 0, 1, 2, ... from ``start`` as bitmasks.
+
+    Paths never enter a vertex of ``blocked``. The layers are disjoint, so
+    their sum is the set of vertices reached.
+    """
+    frontier = 1 << start
+    seen = frontier | blocked
     while frontier:
+        yield frontier
         nxt = 0
         for v in bits(frontier):
             nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
 
 
 def _bfs_row(adj: Sequence[int], n: int, start: int) -> list[int]:
     row = [UNREACHABLE] * n
-    row[start] = 0
-    seen = frontier = 1 << start
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for v in bits(frontier):
+    for d, layer in enumerate(_bfs_layers(adj, start)):
+        for v in bits(layer):
             row[v] = d
     return row
 
@@ -259,29 +253,16 @@ def bipartition(g: Graph) -> Bipartition | None:
     if g.n == 0:
         raise DisconnectedGraphError("graph has no vertices")
     adj = g.adj
-    even = frontier = 1
-    odd = 0
-    seen = 1
-    parity = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        parity ^= 1
-        if parity:
-            odd |= frontier
-        else:
-            even |= frontier
-    if seen != (1 << g.n) - 1:
+    parts = [0, 0]  # vertices at even and at odd distance from vertex 0
+    for d, layer in enumerate(_bfs_layers(adj, 0)):
+        parts[d & 1] |= layer
+    even, odd = parts
+    if (even | odd) != (1 << g.n) - 1:
         raise DisconnectedGraphError("bipartition is ambiguous for disconnected graphs")
-    for v in bits(even):
-        if adj[v] & even:
-            return None
-    for v in bits(odd):
-        if adj[v] & odd:
-            return None
+    for part in parts:
+        for v in bits(part):
+            if adj[v] & part:
+                return None
     a = frozenset(bits(even))
     b = frozenset(bits(odd))
     if len(a) < len(b) or (len(a) == len(b) and 0 in a):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
-from .enumeration import DEFAULT_MAX_N, EnumSpec, UnicyclicClass, unicyclic_classes
+from .enumeration import DEFAULT_MAX_N, EnumSpec, RootedTrees, UnicyclicClass, _classes
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -34,7 +34,7 @@ from .families import (
     theorem_polynomial,
 )
 from .graph6 import graph6_encode
-from .graphs import Graph, bipartition, bits, transmissions, wiener_index
+from .graphs import Graph, _bfs_layers, bipartition, bits, transmissions, wiener_index
 
 
 def _hex_bytes(items: list[tuple[str, object]]) -> dict:
@@ -132,12 +132,18 @@ def verify_both(
     serial.
     """
     spec = EnumSpec(p, q, max_n)
+    return _verify_both(spec, RootedTrees(spec.n - 3))
+
+
+def _verify_both(spec: EnumSpec, table: RootedTrees) -> tuple[ExtremalReport, ExtremalReport]:
+    """``verify_both`` on a rooted-tree table of at least ``spec.n - 3`` vertices."""
+    p, q = spec.p, spec.q
     classes = 0
     best_max: int | None = None
     best_min: int | None = None
     argmax: list[UnicyclicClass] = []
     argmin: list[UnicyclicClass] = []
-    for c in unicyclic_classes(spec):
+    for c in _classes(spec, table):
         classes += 1
         w = c.wiener
         if best_max is None or w > best_max:
@@ -213,6 +219,8 @@ def cycle_vertices(g: Graph) -> list[int]:
                 stack.append(w)
     if not alive:
         raise ValueError("graph has no cycle")
+    if any((g.adj[v] & alive).bit_count() != 2 for v in bits(alive)):
+        raise ValueError("graph has more than one cycle")
     start = next(bits(alive))
     order = [start]
     prev = -1
@@ -225,21 +233,12 @@ def cycle_vertices(g: Graph) -> list[int]:
         prev, cur = cur, nxt
 
 
-def _attached_tree_mask(g: Graph, root: int, cycle_mask: int) -> int:
-    """Vertices of the tree hanging off ``root`` once cycle edges are cut."""
-    seen = frontier = 1 << root
-    block = cycle_mask & ~(1 << root)
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen & ~block
-        seen |= frontier
-    return seen
+def _is_broom_rooted(g: Graph, root: int, cycle_mask: int) -> bool:
+    """Whether the tree hanging off cycle vertex ``root`` is a broom.
 
-
-def _is_broom_rooted(g: Graph, root: int, tree_mask: int) -> bool:
-    """Broom = path from the root with branching confined to its far end."""
+    Broom = path from the root with branching confined to its far end.
+    """
+    tree_mask = sum(_bfs_layers(g.adj, root, cycle_mask & ~(1 << root)))
     if tree_mask.bit_count() == 1:
         return True
     prev = -1
@@ -268,9 +267,7 @@ def structural_checks(g: Graph) -> StructuralCheck:
         cycle_mask = 0
         for c in cyc:
             cycle_mask |= 1 << c
-        brooms_ok = all(
-            _is_broom_rooted(g, c, _attached_tree_mask(g, c, cycle_mask)) for c in cyc
-        )
+        brooms_ok = all(_is_broom_rooted(g, c, cycle_mask) for c in cyc)
     bp = bipartition(g)
     pendant_ok: bool | None = None
     if bp is not None and bp.p < bp.q:
@@ -484,24 +481,25 @@ def extremal_table(
         raise ValueError(f"n_max {n_max} exceeds max_n guard {max_n}")
     if p_max is None:
         p_max = n_max // 2
+    specs = [EnumSpec(p, q, max_n) for p in range(2, p_max + 1) for q in range(p, n_max - p + 1)]
+    table = RootedTrees(n_max - 3)  # one table serves every pair: ids do not depend on its size
     rows = []
-    for p in range(2, p_max + 1):
-        for q in range(p, n_max - p + 1):
-            mx, mn = verify_both(p, q, max_n=max_n)
-            rows.append(
-                TableRow(
-                    p=p,
-                    q=q,
-                    classes=mx.classes,
-                    min_wiener=mn.optimum,
-                    max_wiener=mx.optimum,
-                    closed_form=mx.predicted_value_closed_form or 0,
-                    polynomial=mx.predicted_value_polynomial or 0,
-                    max_value_match=mx.value_match,
-                    max_graph_match=mx.graph_match,
-                    max_unique=mx.uniqueness,
-                    polynomial_match=bool(mx.polynomial_match),
-                    min_graph_match=mn.graph_match,
-                )
+    for spec in specs:
+        mx, mn = _verify_both(spec, table)
+        rows.append(
+            TableRow(
+                p=spec.p,
+                q=spec.q,
+                classes=mx.classes,
+                min_wiener=mn.optimum,
+                max_wiener=mx.optimum,
+                closed_form=mx.predicted_value_closed_form or 0,
+                polynomial=mx.predicted_value_polynomial or 0,
+                max_value_match=mx.value_match,
+                max_graph_match=mx.graph_match,
+                max_unique=mx.uniqueness,
+                polynomial_match=bool(mx.polynomial_match),
+                min_graph_match=mn.graph_match,
             )
+        )
     return rows

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's BFS/enumeration code paths:
 distances come from Floyd-Warshall on a dense matrix, colourings from a
-DFS two-colouring, and the two isomorphism-class oracles build their
-graphs without the library's enumerator: one from *labeled* n-vertex
-n-edge graphs, one from unlabeled free trees plus one edge. Only
-canonical_form is shared, since the point of those oracles is to
-compare class sets.
+DFS two-colouring or, in the labeled-graph oracle, from the parity of
+the distance in its own bitmask BFS, and the two isomorphism-class
+oracles build their graphs without the library's enumerator: one from
+*labeled* n-vertex n-edge graphs, one from unlabeled free trees plus one
+edge. Only canonical_form is shared, since the point of those oracles is
+to compare class sets.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ def dfs_two_coloring(g: Graph) -> tuple[set[int], set[int]] | None:
 def labeled_unicyclic_bipartite_classes(n: int) -> dict[tuple[int, int], set[bytes]]:
     """Canonical-form sets from brute force over all labeled n-edge graphs.
 
-    Every subset of n vertex pairs is materialized and filtered for
-    connectivity and bipartiteness; surviving graphs are bucketed by
-    sorted part sizes and deduplicated by canonical form.
+    Every subset of n vertex pairs is scanned. One bitmask BFS from
+    vertex 0 checks connectivity and colours each vertex by the parity of
+    its distance from 0; the edge set is bipartite exactly when every
+    edge joins the two colours. Only the survivors become a Graph, which
+    is bucketed by sorted part sizes and deduplicated by canonical form.
     """
     pairs = list(itertools.combinations(range(n), 2))
     full = (1 << n) - 1
@@ -92,7 +95,8 @@ def labeled_unicyclic_bipartite_classes(n: int) -> dict[tuple[int, int], set[byt
         for u, v in combo:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        seen = frontier = 1
+        seen = frontier = even = 1  # even: vertices at even distance from 0
+        odd_step = True
         while frontier:
             nxt = 0
             m = frontier
@@ -102,15 +106,16 @@ def labeled_unicyclic_bipartite_classes(n: int) -> dict[tuple[int, int], set[byt
                 m ^= low
             frontier = nxt & ~seen
             seen |= frontier
+            if not odd_step:
+                even |= frontier
+            odd_step = not odd_step
         if seen != full:
             continue
-        g = Graph(n, tuple(adj))
-        coloring = dfs_two_coloring(g)
-        if coloring is None:
+        if any(not (even >> u ^ even >> v) & 1 for u, v in combo):
             continue
-        a, b = coloring
-        key = (min(len(a), len(b)), max(len(a), len(b)))
-        out.setdefault(key, set()).add(canonical_form(g))
+        a = even.bit_count()
+        key = (min(a, n - a), max(a, n - a))
+        out.setdefault(key, set()).add(canonical_form(Graph(n, tuple(adj))))
     return out
 
 

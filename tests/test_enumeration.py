@@ -17,7 +17,7 @@ from wiener_unicyclic import (
     wiener_index,
 )
 
-from wiener_unicyclic.enumeration import RootedTrees, unicyclic_classes
+from wiener_unicyclic.enumeration import RootedTrees, _search, unicyclic_classes
 
 from oracles import (
     _trees,
@@ -132,6 +132,15 @@ def test_class_stream_is_every_bracelet_in_order():
         for p in range(2, n // 2 + 1):
             mine = [c.trees for c in unicyclic_classes(EnumSpec(p, n - p))]
             assert mine == bracelet_stream(p, n - p, table), (p, n - p)
+
+
+def test_stream_does_not_depend_on_table_size():
+    # one table of the largest size serves every pair of a table run
+    shared = RootedTrees(9)
+    for n in range(4, 13):
+        own = RootedTrees(n - 3)
+        for p in range(2, n // 2 + 1):
+            assert _search(p, n - p, shared) == _search(p, n - p, own), (p, n - p)
 
 
 def test_matches_tree_plus_edge_route():

@@ -3,6 +3,7 @@
 import pytest
 
 from wiener_unicyclic import (
+    Graph,
     OnionParams,
     build_cycle,
     build_min_extremal,
@@ -16,6 +17,7 @@ from wiener_unicyclic import (
     structural_checks,
     verify_both,
 )
+from wiener_unicyclic.enumeration import RootedTrees
 from wiener_unicyclic.verification import cycle_six_is_min_optimizer
 
 
@@ -109,6 +111,29 @@ class TestStructuralChecks:
         g = build_onion(OnionParams(2, 3, 1))
         assert cycle_vertices(g) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # peeling leaves 0-3-5-7-4-0 and the triangle 2-6-7 sharing vertex 7
+            Graph.from_edges(
+                8, [(0, 3), (0, 4), (1, 2), (2, 6), (2, 7), (3, 5), (4, 7), (5, 7), (6, 7)]
+            ),
+            # figure-eight: two 4-cycles sharing vertex 0
+            Graph.from_edges(
+                7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
+            ),
+        ],
+    )
+    def test_more_than_one_cycle_is_an_error(self, g):
+        with pytest.raises(ValueError, match="more than one cycle"):
+            cycle_vertices(g)
+        with pytest.raises(ValueError, match="more than one cycle"):
+            structural_checks(g)
+
+    def test_tree_has_no_cycle(self):
+        with pytest.raises(ValueError, match="no cycle"):
+            cycle_vertices(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
     def test_detects_long_cycle(self):
         c = structural_checks(build_cycle(6))
         assert not c.cycle_length_four
@@ -116,8 +141,6 @@ class TestStructuralChecks:
 
     def test_detects_non_broom_attachment(self):
         # spider: central 4-cycle vertex with two length-2 legs is not a broom
-        from wiener_unicyclic import Graph
-
         g = Graph.from_edges(
             9,
             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (0, 6), (6, 7), (5, 8)],
@@ -166,6 +189,19 @@ class TestExtremalTable:
         assert rows[(3, 4)].max_wiener == rows[(3, 4)].closed_form == 48
         assert all(r.ok for r in rows.values())
         assert not any(r.polynomial_match for r in rows.values())
+
+    def test_builds_one_rooted_tree_table(self, monkeypatch):
+        sizes = []
+        build = RootedTrees.__init__
+
+        def counted(table, max_size):
+            sizes.append(max_size)
+            build(table, max_size)
+
+        monkeypatch.setattr(RootedTrees, "__init__", counted)
+        rows = extremal_table(n_max=8)
+        assert len(rows) == 9
+        assert sizes == [5]
 
     def test_bounds(self):
         rows = extremal_table(p_max=2, n_max=8)
