@@ -236,7 +236,7 @@ def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
 
 
 def _classes(spec: EnumSpec, table: RootedTrees) -> Iterator[UnicyclicClass]:
-    """``unicyclic_classes`` on a table of trees with at least ``spec.n - 3`` vertices."""
+    """``unicyclic_classes`` on ``table``, which holds every tree of up to n - 3 vertices."""
     for w, ids in _search(spec.p, spec.q, table):
         yield UnicyclicClass(w, ids, table)
 

@@ -136,7 +136,7 @@ def verify_both(
 
 
 def _verify_both(spec: EnumSpec, table: RootedTrees) -> tuple[ExtremalReport, ExtremalReport]:
-    """``verify_both`` on a rooted-tree table of at least ``spec.n - 3`` vertices."""
+    """``verify_both`` on ``table``, which holds every tree of up to n - 3 vertices."""
     p, q = spec.p, spec.q
     classes = 0
     best_max: int | None = None
@@ -228,6 +228,8 @@ def cycle_vertices(g: Graph) -> list[int]:
     while True:
         nxt = min(w for w in bits(g.adj[cur] & alive) if w != prev)
         if nxt == start:
+            if len(order) != alive.bit_count():  # another cycle, in another component
+                raise ValueError("graph has more than one cycle")
             return order
         order.append(nxt)
         prev, cur = cur, nxt
@@ -239,8 +241,6 @@ def _is_broom_rooted(g: Graph, root: int, cycle_mask: int) -> bool:
     Broom = path from the root with branching confined to its far end.
     """
     tree_mask = sum(_bfs_layers(g.adj, root, cycle_mask & ~(1 << root)))
-    if tree_mask.bit_count() == 1:
-        return True
     prev = -1
     cur = root
     while True:

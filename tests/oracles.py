@@ -111,8 +111,8 @@ def labeled_unicyclic_bipartite_classes(n: int) -> dict[tuple[int, int], set[byt
             odd_step = not odd_step
         if seen != full:
             continue
-        if any(not (even >> u ^ even >> v) & 1 for u, v in combo):
-            continue
+        if any((even >> u & 1) == (even >> v & 1) for u, v in combo):
+            continue  # an edge inside one colour class
         a = even.bit_count()
         key = (min(a, n - a), max(a, n - a))
         out.setdefault(key, set()).add(canonical_form(Graph(n, tuple(adj))))

@@ -146,6 +146,7 @@ def test_criterion_7_enumeration_soundness():
     compared = 0
     for n in range(4, 9):
         oracle = labeled_unicyclic_bipartite_classes(n)
+        assert sorted(oracle) == [(p, n - p) for p in range(2, n // 2 + 1)], n
         for (p, q), expected in sorted(oracle.items()):
             mine = {
                 canonical_form(g)

@@ -55,6 +55,7 @@ def test_class_counts_frozen_from_labeled_oracle(p, q, expected):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_matches_labeled_oracle(n):
     oracle = labeled_unicyclic_bipartite_classes(n)
+    assert sorted(oracle) == [(p, n - p) for p in range(2, n // 2 + 1)]
     for (p, q), expected_forms in sorted(oracle.items()):
         mine = {canonical_form(g) for g in enumerate_unicyclic_bipartite(EnumSpec(p, q))}
         assert mine == expected_forms

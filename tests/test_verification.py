@@ -122,6 +122,10 @@ class TestStructuralChecks:
             Graph.from_edges(
                 7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
             ),
+            # two 4-cycles in two components
+            Graph.from_edges(
+                8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+            ),
         ],
     )
     def test_more_than_one_cycle_is_an_error(self, g):
