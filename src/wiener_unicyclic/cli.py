@@ -10,10 +10,10 @@ Subcommands::
     harness    seeded randomized checks of the coalescence lemmas
 
 Exit codes: 0 success (all asserted agreements hold), 1 verification
-mismatch or counterexample, 2 usage or parse error. The published
-polynomial for the maximum only ever produces a WARNING; it never
-affects the exit code. Identical invocations produce byte-identical
-output.
+mismatch or counterexample, 2 usage or parse error, or an input or
+output file that cannot be opened. The published polynomial for the
+maximum only ever produces a WARNING; it never affects the exit code.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -124,6 +124,8 @@ def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
             parser.error("--n-max must be at least 4")
         if ns.n_max > ns.max_n:
             parser.error(f"--n-max {ns.n_max} exceeds --max-n {ns.max_n}")
+        if ns.p_max is not None and ns.p_max < 2:
+            parser.error("--p-max must be at least 2")
     if ns.command == "harness" and ns.trials < 1:
         parser.error("--trials must be positive")
     if getattr(ns, "threads", 1) < 1:
@@ -350,7 +352,11 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     ns = parser.parse_args(argv)
     _check(commands[ns.command], ns)
-    return _HANDLERS[ns.command](ns)
+    try:
+        return _HANDLERS[ns.command](ns)
+    except OSError as exc:  # the input file or --output
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
 
 
 def entry() -> None:

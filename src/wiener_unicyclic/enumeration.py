@@ -10,7 +10,9 @@ bracelets directly and never compares two graphs:
 * **Rooted trees.** Every rooted tree on up to n - 3 vertices (the most
   one tree can take beside a 4-cycle) gets an integer id, smaller trees
   first; a tree is the sorted tuple of its children's ids, so equal
-  trees get equal ids.
+  trees get equal ids. Each tree is built once, from one parent: itself
+  without its last (largest) child (McKay, "Isomorph-free exhaustive
+  generation", 1998). Its numbers follow from the parent's and the child's.
 * **Bracelets.** For each cycle length L = 4, 6, ..., n the
   Fredricksen-Kessler-Maiorana recursion lists, in lexicographic order,
   every sequence of L tree ids of total size n that is the least of its
@@ -81,6 +83,11 @@ class RootedTrees:
     the children's ids, the size, the depth sum D, the sum Q of squared
     subtree sizes over non-root vertices, and the number of vertices at
     odd depth.
+
+    A tree of size s > 1 is grown once, from the smaller tree t that is
+    itself without its last child c: |c| = s - |t|, and c's id is at least
+    every child id of t. Its columns are children(t) + (c,),
+    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -96,34 +103,29 @@ class RootedTrees:
         # window that holds no tree is an empty id range.
         pad = max_size + 3
         self.bounds: list[list[int]] = [[0]]
+        kids, size, odd, bounds = self.children, self.size, self.odd, self.bounds
+        dsum, qsum = self.depth_sum, self.square_sum
         for s in range(1, max_size + 1):
-            first = len(self.size)
-            self.bounds.append([first])  # first(s) while the trees of size s are built
-            trees = sorted(
-                (sum(self.size[c] - self.odd[c] for c in kids), kids)
-                for kids in self._forests(s - 1, 0)
+            first = len(size)
+            bounds.append([first])  # first(s) while the trees of size s are built
+            # (odd, children, D, Q) of the single vertex, or of each smaller tree
+            # t plus a last child c of size s - |t|, sorted by (odd, children)
+            grown = [(0, (), 0, 0)] if s == 1 else sorted(
+                (
+                    odd[t] + size[c] - odd[c],
+                    kids[t] + (c,),
+                    dsum[t] + dsum[c] + size[c],
+                    qsum[t] + qsum[c] + size[c] ** 2,
+                )
+                for t in range(first)
+                for c in range(max((bounds[s - size[t]][0], *kids[t][-1:])), bounds[s - size[t] + 1][0])
             )
-            for odd, kids in trees:
-                self.children.append(kids)
-                self.size.append(s)
-                self.depth_sum.append(sum(self.depth_sum[c] + self.size[c] for c in kids))
-                self.square_sum.append(sum(self.square_sum[c] + self.size[c] ** 2 for c in kids))
-                self.odd.append(odd)
-            odds = [odd for odd, _ in trees]
-            row = [first + bisect_left(odds, o) for o in range(s + 1)]
-            self.bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
-        self.bounds.append([len(self.size)])
-
-    def _forests(self, total: int, low: int) -> Iterator[tuple[int, ...]]:
-        """Sorted id tuples, each id at least ``low``, of total size ``total``."""
-        if total == 0:
-            yield ()
-            return
-        for c in range(low, self.bounds[total + 1][0]):
-            rest = total - self.size[c]
-            if rest == 0 or rest >= self.size[c]:
-                for tail in self._forests(rest, c):
-                    yield (c,) + tail
+            for column, values in zip((odd, kids, dsum, qsum), zip(*grown)):
+                column.extend(values)
+            size.extend([s] * len(grown))
+            row = [bisect_left(odd, o, first) for o in range(s + 1)]
+            bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
+        bounds.append([len(size)])
 
     def wiener(self, ids: Sequence[int]) -> int:
         """Wiener index of the even cycle carrying these trees in order."""
@@ -165,12 +167,12 @@ class UnicyclicClass:
         return self.table.graph(self.trees)
 
 
-def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ...]]]:
-    """(W, tree ids) of every class with parts (p, q), in stream order."""
+def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
+    """Every class with parts (p, q), in stream order; ``trees`` reaches n - 3 vertices."""
     n = p + q
     size, odd, bounds = trees.size, trees.odd, trees.bounds
     targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
-    out: list[tuple[int, tuple[int, ...]]] = []
+    out: list[UnicyclicClass] = []
 
     for length in range(4, n + 1, 2):
         a = [0] * (length + 1)  # a[1..length]; a[0] is the recursion's sentinel
@@ -181,7 +183,7 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ..
             for k in range(length):
                 if rev[k:] + rev[:k] < seq:
                     return
-            out.append((trees.wiener(seq), seq))
+            out.append(UnicyclicClass(trees.wiener(seq), seq, trees))
 
         def extend(t: int, period: int, used: int, colour: int) -> None:
             # colour counts the vertices coloured like cycle vertex 0
@@ -224,6 +226,9 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[tuple[int, tuple[int, ..
                     start = max(start, stop)
 
         extend(1, 1, 0, 0)
+        # extend reaches itself through its closure; unbinding it breaks the
+        # cycle, which would keep out and the table alive until a gc pass
+        del extend
     return out
 
 
@@ -232,13 +237,7 @@ def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
 
     The order is fixed: cycle length, then tree ids.
     """
-    yield from _classes(spec, RootedTrees(spec.n - 3))
-
-
-def _classes(spec: EnumSpec, table: RootedTrees) -> Iterator[UnicyclicClass]:
-    """``unicyclic_classes`` on ``table``, which holds every tree of up to n - 3 vertices."""
-    for w, ids in _search(spec.p, spec.q, table):
-        yield UnicyclicClass(w, ids, table)
+    yield from _search(spec.p, spec.q, RootedTrees(spec.n - 3))
 
 
 def _canonical_classes(spec: EnumSpec) -> list[tuple[bytes, int]]:
@@ -258,4 +257,4 @@ def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
 
 def count_classes(spec: EnumSpec) -> int:
     """Number of isomorphism classes the stream would yield."""
-    return sum(1 for _ in unicyclic_classes(spec))
+    return len(_search(spec.p, spec.q, RootedTrees(spec.n - 3)))

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
-from .enumeration import DEFAULT_MAX_N, EnumSpec, RootedTrees, UnicyclicClass, _classes
+from .enumeration import DEFAULT_MAX_N, EnumSpec, RootedTrees, UnicyclicClass, _search
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -95,21 +95,20 @@ def _report(
     p: int,
     q: int,
     direction: str,
-    classes: int,
-    argopt: list[UnicyclicClass],
+    classes: list[UnicyclicClass],
+    optimum: int,
     predicted: Graph,
     predicted_value: int,
     polynomial: int | None,
 ) -> ExtremalReport:
-    """Compare the optimizers of one direction with the predicted graph and value."""
-    optimum = argopt[0].wiener
-    witnesses = _optimizer_witnesses(argopt)
+    """Compare the classes of W ``optimum`` with the predicted graph and value."""
+    witnesses = _optimizer_witnesses(c for c in classes if c.wiener == optimum)
     predicted_canon = canonical_form(predicted)
     return ExtremalReport(
         p=p,
         q=q,
         direction=direction,
-        classes=classes,
+        classes=len(classes),
         optimum=optimum,
         optimizers=witnesses,
         predicted_graph6=graph6_encode(predicted),
@@ -138,31 +137,17 @@ def verify_both(
 def _verify_both(spec: EnumSpec, table: RootedTrees) -> tuple[ExtremalReport, ExtremalReport]:
     """``verify_both`` on ``table``, which holds every tree of up to n - 3 vertices."""
     p, q = spec.p, spec.q
-    classes = 0
-    best_max: int | None = None
-    best_min: int | None = None
-    argmax: list[UnicyclicClass] = []
-    argmin: list[UnicyclicClass] = []
-    for c in _classes(spec, table):
-        classes += 1
-        w = c.wiener
-        if best_max is None or w > best_max:
-            best_max, argmax = w, [c]
-        elif w == best_max:
-            argmax.append(c)
-        if best_min is None or w < best_min:
-            best_min, argmin = w, [c]
-        elif w == best_min:
-            argmin.append(c)
-    if best_max is None or best_min is None:
+    classes = _search(p, q, table)
+    if not classes:
         raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
+    wieners = [c.wiener for c in classes]
 
     params = extremal_onion_params(p, q)
     onion, closed_form = build_onion(params), onion_wiener_closed_form(params)
     mingraph = build_min_extremal(p, q)
     return (
-        _report(p, q, "max", classes, argmax, onion, closed_form, theorem_polynomial(p, q)),
-        _report(p, q, "min", classes, argmin, mingraph, wiener_index(mingraph), None),
+        _report(p, q, "max", classes, max(wieners), onion, closed_form, theorem_polynomial(p, q)),
+        _report(p, q, "min", classes, min(wieners), mingraph, wiener_index(mingraph), None),
     )
 
 

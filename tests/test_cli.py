@@ -106,6 +106,7 @@ def test_verify_usage_error_on_bad_range(capsys):
         (["onion", "0", "100", "0"], "On(0, 100, 0) has 103 vertices; graphs hold at most 64"),
         (["onion", "0", "58", "4"], "On(0, 58, 4) has 65 vertices; graphs hold at most 64"),
         (["verify", "3", "3", "--threads", "0"], "--threads must be positive"),
+        (["table", "--p-max", "1"], "--p-max must be at least 2"),
     ],
 )
 def test_limits_are_usage_errors(capsys, argv, message):
@@ -195,6 +196,22 @@ def test_output_file_option(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "wiener (closed form): 46" in target.read_text()
+
+
+def test_missing_input_file_is_a_file_error(capsys, tmp_path):
+    path = tmp_path / "missing.g6"
+    code, out, err = run_cli(capsys, "wiener", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_unwritable_output_is_a_file_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "dir" / "x"
+    code, out, err = run_cli(capsys, "onion", "1", "1", "1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_cli_import_does_not_load_networkx():

@@ -1,5 +1,8 @@
 """Enumerator: soundness, completeness against the labeled oracle, determinism."""
 
+import gc
+import weakref
+
 import pytest
 
 from wiener_unicyclic import (
@@ -114,6 +117,22 @@ def test_rooted_tree_counts_are_correct():
     assert len(set(table.children)) == len(table.children)
 
 
+def test_rooted_tree_columns_follow_from_children():
+    # every column recomputed by summing over all children, ids in (size, odd, children) order
+    table = RootedTrees(12)
+    size, depth, square, odd = [], [], [], []
+    for t, kids in enumerate(table.children):
+        assert all(c < t for c in kids), t
+        assert list(kids) == sorted(kids), t
+        size.append(1 + sum(size[c] for c in kids))
+        depth.append(sum(depth[c] + size[c] for c in kids))
+        square.append(sum(square[c] + size[c] ** 2 for c in kids))
+        odd.append(sum(size[c] - odd[c] for c in kids))
+    assert (table.size, table.depth_sum, table.square_sum, table.odd) == (size, depth, square, odd)
+    keys = list(zip(size, odd, table.children))
+    assert keys == sorted(keys)
+
+
 def test_odd_count_bounds_read_as_clamped():
     table = RootedTrees(9)
     for s in range(1, 10):
@@ -142,6 +161,16 @@ def test_stream_does_not_depend_on_table_size():
         own = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
             assert _search(p, n - p, shared) == _search(p, n - p, own), (p, n - p)
+
+
+def test_search_result_is_freed_without_garbage_collection():
+    # no reference cycle inside the search may keep its class list alive
+    gc.disable()
+    try:
+        ref = weakref.ref(_search(3, 4, RootedTrees(4))[0])
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_matches_tree_plus_edge_route():
