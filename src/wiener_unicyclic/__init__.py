@@ -61,6 +61,7 @@ from .verification import (
     random_connected_graph,
     random_tree,
     structural_checks,
+    verify,
     verify_both,
 )
 
@@ -114,6 +115,7 @@ __all__ = [
     "transmission",
     "transmissions",
     "unicyclic_classes",
+    "verify",
     "verify_both",
     "wiener_index",
     "write_graph6_file",

@@ -13,6 +13,10 @@ Exit codes: 0 success (all asserted agreements hold), 1 verification
 mismatch or counterexample, 2 usage or parse error, or an input or
 output file that cannot be opened. The published polynomial for the
 maximum only ever produces a WARNING; it never affects the exit code.
+``--output`` is opened (created, or truncated) before the subcommand
+does any work, so an unwritable path exits 2 at once; a run that exits 2
+after that, on an unreadable input file or a malformed graph6 line,
+leaves the output file empty.
 Identical invocations produce byte-identical output.
 """
 
@@ -23,14 +27,16 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
+from typing import TextIO
 
 from .canon import CANONICAL_MAX_VERTICES, graph_from_canonical
 from .enumeration import DEFAULT_MAX_N, EnumSpec, _canonical_classes
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
-from .verification import TableRow, extremal_table, lemma_harness, verify_both
+from .verification import TableRow, extremal_table, lemma_harness, verify
 
 #: Seed used whenever --seed is not given.
 DEFAULT_SEED = 1
@@ -136,14 +142,6 @@ def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
         )
 
 
-def _write(ns: argparse.Namespace, text: str) -> None:
-    if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -163,7 +161,7 @@ def _json_lines(records: list[dict]) -> str:
 _WIENER_COLUMNS = ["line", "n", "edges", "wiener", "t_min", "t_max", "p", "q", "error"]
 
 
-def cmd_wiener(ns: argparse.Namespace) -> int:
+def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
     if ns.input == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -196,26 +194,26 @@ def cmd_wiener(ns: argparse.Namespace) -> int:
         records.append(rec)
 
     if ns.fmt == "json":
-        _write(ns, _json_lines(records))
+        out.write(_json_lines(records))
     elif ns.fmt == "csv":
         rows = [[r.get(c, "") for c in _WIENER_COLUMNS] for r in records]
-        _write(ns, _csv_text(_WIENER_COLUMNS, rows))
+        out.write(_csv_text(_WIENER_COLUMNS, rows))
     else:
-        out = []
+        lines = []
         for r in records:
             if "error" in r:
-                out.append(f"line={r['line']} error={r['error']}")
+                lines.append(f"line={r['line']} error={r['error']}")
             else:
                 parts = "non-bipartite" if r["p"] is None else f"({r['p']},{r['q']})"
-                out.append(
+                lines.append(
                     f"line={r['line']} n={r['n']} edges={r['edges']} wiener={r['wiener']}"
                     f" t_min={r['t_min']} t_max={r['t_max']} parts={parts}"
                 )
-        _write(ns, "".join(s + "\n" for s in out))
+        out.write("".join(s + "\n" for s in lines))
     return 0
 
 
-def cmd_onion(ns: argparse.Namespace) -> int:
+def cmd_onion(ns: argparse.Namespace, out: TextIO) -> int:
     params = OnionParams(ns.k, ns.l, ns.m)
     g = build_onion(params)
     w = onion_wiener_closed_form(params)
@@ -223,21 +221,18 @@ def cmd_onion(ns: argparse.Namespace) -> int:
     g6 = graph6_encode(g)
     rec = dict(k=ns.k, l=ns.l, m=ns.m, n=g.n, graph6=g6, wiener=w, t_v=t_v, t_path_end=t_ul)
     if ns.fmt == "graph6":
-        _write(ns, g6 + "\n")
+        out.write(g6 + "\n")
     elif ns.fmt == "json":
-        _write(ns, _json_lines([rec]))
+        out.write(_json_lines([rec]))
     elif ns.fmt == "csv":
-        _write(ns, _csv_text(list(rec), [list(rec.values())]))
+        out.write(_csv_text(list(rec), [list(rec.values())]))
     else:
-        _write(
-            ns,
-            (
-                f"onion k={ns.k} l={ns.l} m={ns.m} n={g.n}\n"
-                f"graph6: {g6}\n"
-                f"wiener (closed form): {w}\n"
-                f"transmission at pendant-cycle vertex: {t_v}\n"
-                f"transmission at path end: {t_ul}\n"
-            ),
+        out.write(
+            f"onion k={ns.k} l={ns.l} m={ns.m} n={g.n}\n"
+            f"graph6: {g6}\n"
+            f"wiener (closed form): {w}\n"
+            f"transmission at pendant-cycle vertex: {t_v}\n"
+            f"transmission at path end: {t_ul}\n"
         )
     return 0
 
@@ -272,41 +267,41 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    report = verify_both(ns.p, ns.q, max_n=ns.max_n)[1 if ns.min else 0]
+def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
+    report = verify(ns.p, ns.q, "min" if ns.min else "max", max_n=ns.max_n)
     if ns.fmt == "json":
-        _write(ns, _json_lines([report.as_record()]))
+        out.write(_json_lines([report.as_record()]))
     elif ns.fmt == "csv":
         rec = report.as_record()
         rec["optimizers"] = ";".join(w.graph6 for w in report.optimizers)
         header = list(rec)
-        _write(ns, _csv_text(header, [[rec[c] for c in header]]))
+        out.write(_csv_text(header, [[rec[c] for c in header]]))
     else:
-        _write(ns, _verify_text(report))
+        out.write(_verify_text(report))
     return 0 if report.ok else 1
 
 
-def cmd_enumerate(ns: argparse.Namespace) -> int:
+def cmd_enumerate(ns: argparse.Namespace, out: TextIO) -> int:
     spec = EnumSpec(ns.p, ns.q, ns.max_n)
     classes = [(graph6_encode(graph_from_canonical(key)), w) for key, w in _canonical_classes(spec)]
     if ns.fmt == "json":
-        _write(ns, _json_lines([{"graph6": g6, "n": spec.n, "wiener": w} for g6, w in classes]))
+        out.write(_json_lines([{"graph6": g6, "n": spec.n, "wiener": w} for g6, w in classes]))
     elif ns.fmt == "text":
-        _write(ns, "".join(f"{g6} n={spec.n} wiener={w}\n" for g6, w in classes))
+        out.write("".join(f"{g6} n={spec.n} wiener={w}\n" for g6, w in classes))
     else:
-        _write(ns, "".join(g6 + "\n" for g6, _ in classes))
+        out.write("".join(g6 + "\n" for g6, _ in classes))
     return 0
 
 
-def cmd_table(ns: argparse.Namespace) -> int:
+def cmd_table(ns: argparse.Namespace, out: TextIO) -> int:
     rows = extremal_table(ns.p_max, ns.n_max, max_n=ns.max_n)
     if ns.fmt == "json":
-        _write(ns, _json_lines([r.as_record() for r in rows]))
+        out.write(_json_lines([r.as_record() for r in rows]))
     elif ns.fmt == "csv":
         header = [f.name for f in fields(TableRow)]
-        _write(ns, _csv_text(header, [list(r.as_record().values()) for r in rows]))
+        out.write(_csv_text(header, [list(r.as_record().values()) for r in rows]))
     else:
-        out = []
+        lines = []
         for r in rows:
             line = (
                 f"p={r.p} q={r.q} classes={r.classes} min={r.min_wiener} max={r.max_wiener}"
@@ -315,25 +310,22 @@ def cmd_table(ns: argparse.Namespace) -> int:
             )
             if not r.polynomial_match:
                 line += f" WARNING:polynomial={r.polynomial}"
-            out.append(line)
-        _write(ns, "".join(s + "\n" for s in out))
+            lines.append(line)
+        out.write("".join(s + "\n" for s in lines))
     return 0 if all(r.ok for r in rows) else 1
 
 
-def cmd_harness(ns: argparse.Namespace) -> int:
+def cmd_harness(ns: argparse.Namespace, out: TextIO) -> int:
     report = lemma_harness(ns.seed, ns.trials)
     if ns.fmt == "json":
-        _write(ns, _json_lines([report.as_record()]))
+        out.write(_json_lines([report.as_record()]))
     else:
-        _write(
-            ns,
-            (
-                f"harness seed={report.seed} trials={report.trials}\n"
-                f"  coalescence identity checked: {report.identity_checked}\n"
-                f"  transplant monotonicity checked: {report.monotonicity_checked}"
-                f" (skipped {report.monotonicity_skipped} equal-transmission pairs)\n"
-                f"  {len(report.counterexamples)} counterexamples\n"
-            ),
+        out.write(
+            f"harness seed={report.seed} trials={report.trials}\n"
+            f"  coalescence identity checked: {report.identity_checked}\n"
+            f"  transplant monotonicity checked: {report.monotonicity_checked}"
+            f" (skipped {report.monotonicity_skipped} equal-transmission pairs)\n"
+            f"  {len(report.counterexamples)} counterexamples\n"
         )
     return 0 if report.ok else 1
 
@@ -353,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     _check(commands[ns.command], ns)
     try:
-        return _HANDLERS[ns.command](ns)
+        # --output is opened before any work, so an unwritable path fails at once
+        with open(ns.output, "w") if ns.output else nullcontext(sys.stdout) as out:
+            return _HANDLERS[ns.command](ns, out)
     except OSError as exc:  # the input file or --output
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -30,7 +30,15 @@ bracelets directly and never compares two graphs:
 * **Wiener index.** With s_i, D_i and Q_i the size, depth sum and sum of
   squared non-root subtree sizes of the tree at cycle vertex i,
   W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
-  where d_C is the distance along the cycle. No BFS is needed.
+  where d_C is the distance along the cycle. No BFS is needed, and no
+  sum at the leaf: W is carried down the recursion. The sum of
+  s_i * d_C(i, t) over the beads before position t depends only on
+  their sizes, so it is taken once per size placed at t - 1, and a bead
+  of size s placed at t adds s times that plus its own n * D - Q. So a
+  leaf costs O(L): a sequence that is not a necklace is dropped before
+  it is built, and since a necklace starts with its least bead, only
+  the rotations of the reversal that start with that bead are compared
+  with it.
 
 The class stream comes in a fixed order (cycle length, then tree ids).
 The search runs in the calling process: at the orders the canonical-form
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
@@ -127,18 +136,6 @@ class RootedTrees:
             bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
         bounds.append([len(size)])
 
-    def wiener(self, ids: Sequence[int]) -> int:
-        """Wiener index of the even cycle carrying these trees in order."""
-        size = self.size
-        sizes = [size[t] for t in ids]
-        n = sum(sizes)
-        total = n * sum(self.depth_sum[t] for t in ids) - sum(self.square_sum[t] for t in ids)
-        length = len(sizes)
-        half = length // 2
-        for k in range(1, half):
-            total += k * sum(sizes[i] * sizes[i - k] for i in range(length))
-        return total + half * sum(sizes[i] * sizes[i + half] for i in range(half))
-
     def graph(self, ids: Sequence[int]) -> Graph:
         """The cycle 0, 1, ..., L-1 with tree ``ids[i]`` rooted at vertex i."""
         length = len(ids)
@@ -171,32 +168,46 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
     """Every class with parts (p, q), in stream order; ``trees`` reaches n - 3 vertices."""
     n = p + q
     size, odd, bounds = trees.size, trees.odd, trees.bounds
+    # each bead's own share of W, n * D - Q (see the module docstring), for
+    # the trees of up to n - 3 vertices, which are the first ids of a larger table
+    beads = bounds[n - 2][0]
+    base = [n * d - sq for d, sq in zip(trees.depth_sum[:beads], trees.square_sum[:beads])]
     targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
     out: list[UnicyclicClass] = []
 
     for length in range(4, n + 1, 2):
         a = [0] * (length + 1)  # a[1..length]; a[0] is the recursion's sentinel
+        sizes = [0] * (length + 1)  # sizes[t] = size[a[t]]
+        # d_C(length - 1), ..., d_C(1): the last t entries, zipped with
+        # sizes[1:t + 1], pair position i with its distance d_C(t + 1 - i) to t + 1
+        hops = [min(k, length - k) for k in range(length - 1, 0, -1)]
 
-        def leaf() -> None:
-            seq = tuple(a[1:])
-            rev = seq[::-1]
-            for k in range(length):
-                if rev[k:] + rev[:k] < seq:
-                    return
-            out.append(UnicyclicClass(trees.wiener(seq), seq, trees))
-
-        def extend(t: int, period: int, used: int, colour: int) -> None:
-            # colour counts the vertices coloured like cycle vertex 0
+        def extend(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
+            # colour counts the vertices coloured like cycle vertex 0; w sums
+            # n * D - Q over beads 1..t-1 and s_i * s_j * d_C(i, j) over their
+            # pairs, and pull sums s_i * d_C(t - i) over them
             low = a[t - period]
             rest = n - used
             if t == length:
-                # the last root has cycle vertex 0's colour on its odd levels
+                # the last bead is of size rest, and its root has cycle vertex
+                # 0's colour on its odd levels
                 b = bounds[rest]
+                w += rest * pull
                 for x in targets:
-                    for j in range(max(low, b[x - colour]), b[x - colour + 1]):
+                    first_id = b[x - colour]
+                    for j in range(low if low > first_id else first_id, b[x - colour + 1]):
+                        if length % (period if j == low else t):
+                            continue  # not the least of its rotations
                         a[t] = j
-                        if length % (period if j == low else t) == 0:
-                            leaf()
+                        seq = tuple(a[1:])
+                        # seq is a necklace, so seq[0] is its least bead and only a
+                        # rotation of the reversal that starts with seq[0] can be less
+                        first, rev = seq[0], seq[::-1]
+                        for k in range(length):
+                            if rev[k] == first and rev[k:] + rev[:k] < seq:
+                                break
+                        else:
+                            out.append(UnicyclicClass(w + base[j], seq, trees))
                 return
             # every later bead is at least a[1], so at least as large
             smallest = size[a[1]] if t > 1 else 0
@@ -209,23 +220,29 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
             floor = colour + length - t - k_even
             ceil = colour + rest - k_even
             flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
-            for s in range(size[low], min(most, n - 3) + 1):
+            for s in range(size[low], (most if most < n - 3 else n - 3) + 1):
                 b, start = bounds[s], low
+                sizes[t] = s
+                w_s = w + s * pull
+                pull_next = sum(map(mul, sizes[1 : t + 1], hops[length - t - 1 :]))
                 # odd-count windows, ascending; start skips where they overlap
                 for x in (reversed(targets) if flip else targets):
                     lo, hi = (s + floor - x, ceil - x) if flip else (x - ceil + s, x - floor)
-                    stop = b[hi + 1]
-                    for j in range(max(start, b[lo]), stop):
+                    first_id, stop = b[lo], b[hi + 1]
+                    for j in range(start if start > first_id else first_id, stop):
                         a[t] = j
                         extend(
                             t + 1,
                             period if j == low else t,
                             used + s,
                             colour + (s - odd[j] if flip else odd[j]),
+                            w_s + base[j],
+                            pull_next,
                         )
-                    start = max(start, stop)
+                    if stop > start:
+                        start = stop
 
-        extend(1, 1, 0, 0)
+        extend(1, 1, 0, 0, 0, 0)
         # extend reaches itself through its closure; unbinding it breaks the
         # cycle, which would keep out and the table alive until a gc pass
         del extend

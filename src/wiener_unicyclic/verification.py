@@ -1,12 +1,12 @@
 """Brute-force extremal search and property harnesses.
 
-``verify_both`` sweeps the full isomorphism-free enumeration for given
-part sizes once and returns a max and a min report, each comparing the
-true optimum against a predicted construction: the onion graph with its
-closed-form value on the max side, the two-pendant-cluster cycle on the
-min side. The published polynomial for the maximum is evaluated and
-reported but never asserted; it is known to disagree with the verified
-construction.
+``verify`` sweeps the full isomorphism-free enumeration for given part
+sizes once and returns the max or the min report, and ``verify_both``
+returns both from one sweep. Each compares the true optimum against a
+predicted construction: the onion graph with its closed-form value on
+the max side, the two-pendant-cluster cycle on the min side. The
+published polynomial for the maximum is evaluated and reported but
+never asserted; it is known to disagree with the verified construction.
 
 ``lemma_harness`` stress-tests the two coalescence facts everything
 else leans on: the exact Wiener decomposition of a one-vertex
@@ -91,17 +91,24 @@ def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWi
     return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
 
 
-def _report(
-    p: int,
-    q: int,
-    direction: str,
-    classes: list[UnicyclicClass],
-    optimum: int,
-    predicted: Graph,
-    predicted_value: int,
-    polynomial: int | None,
-) -> ExtremalReport:
-    """Compare the classes of W ``optimum`` with the predicted graph and value."""
+def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> ExtremalReport:
+    """The ``direction`` report ("max" or "min") over every class with parts (p, q).
+
+    The max side predicts the onion with its closed-form value and the
+    published polynomial, the min side the two-pendant-cluster cycle with
+    its Wiener index; only the side asked for is built.
+    """
+    if not classes:
+        raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
+    if direction == "max":
+        optimum = max(c.wiener for c in classes)
+        params = extremal_onion_params(p, q)
+        predicted, predicted_value = build_onion(params), onion_wiener_closed_form(params)
+        polynomial: int | None = theorem_polynomial(p, q)
+    else:
+        optimum = min(c.wiener for c in classes)
+        predicted = build_min_extremal(p, q)
+        predicted_value, polynomial = wiener_index(predicted), None
     witnesses = _optimizer_witnesses(c for c in classes if c.wiener == optimum)
     predicted_canon = canonical_form(predicted)
     return ExtremalReport(
@@ -122,6 +129,14 @@ def _report(
     )
 
 
+def verify(p: int, q: int, direction: str, *, max_n: int = DEFAULT_MAX_N) -> ExtremalReport:
+    """The max or min report for (p, q), as ``direction`` says; the other is not built."""
+    if direction not in ("max", "min"):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    spec = EnumSpec(p, q, max_n)
+    return _report(p, q, direction, _search(p, q, RootedTrees(spec.n - 3)))
+
+
 def verify_both(
     p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1
 ) -> tuple[ExtremalReport, ExtremalReport]:
@@ -131,24 +146,8 @@ def verify_both(
     serial.
     """
     spec = EnumSpec(p, q, max_n)
-    return _verify_both(spec, RootedTrees(spec.n - 3))
-
-
-def _verify_both(spec: EnumSpec, table: RootedTrees) -> tuple[ExtremalReport, ExtremalReport]:
-    """``verify_both`` on ``table``, which holds every tree of up to n - 3 vertices."""
-    p, q = spec.p, spec.q
-    classes = _search(p, q, table)
-    if not classes:
-        raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
-    wieners = [c.wiener for c in classes]
-
-    params = extremal_onion_params(p, q)
-    onion, closed_form = build_onion(params), onion_wiener_closed_form(params)
-    mingraph = build_min_extremal(p, q)
-    return (
-        _report(p, q, "max", classes, max(wieners), onion, closed_form, theorem_polynomial(p, q)),
-        _report(p, q, "min", classes, min(wieners), mingraph, wiener_index(mingraph), None),
-    )
+    classes = _search(p, q, RootedTrees(spec.n - 3))
+    return _report(p, q, "max", classes), _report(p, q, "min", classes)
 
 
 def cycle_six_is_min_optimizer(report: ExtremalReport) -> bool:
@@ -271,7 +270,7 @@ def check_structural_consequences(
     p: int, q: int, *, max_n: int = DEFAULT_MAX_N
 ) -> list[StructuralCheck]:
     """Structure report for every brute-force maximizer at (p, q)."""
-    mx = verify_both(p, q, max_n=max_n)[0]
+    mx = verify(p, q, "max", max_n=max_n)
     return [structural_checks(graph_from_canonical(w.canon)) for w in mx.optimizers]
 
 
@@ -470,7 +469,8 @@ def extremal_table(
     table = RootedTrees(n_max - 3)  # one table serves every pair: ids do not depend on its size
     rows = []
     for spec in specs:
-        mx, mn = _verify_both(spec, table)
+        classes = _search(spec.p, spec.q, table)
+        mx, mn = _report(spec.p, spec.q, "max", classes), _report(spec.p, spec.q, "min", classes)
         rows.append(
             TableRow(
                 p=spec.p,

@@ -7,7 +7,9 @@ the distance in its own bitmask BFS, and the two isomorphism-class
 oracles build their graphs without the library's enumerator: one from
 *labeled* n-vertex n-edge graphs, one from unlabeled free trees plus one
 edge. Only canonical_form is shared, since the point of those oracles is
-to compare class sets.
+to compare class sets. ``structural_wiener`` sums the structural Wiener
+formula over every pair of cycle vertices at once, where the enumerator
+adds each bead's terms as it places it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,24 @@ def transmission_via_floyd_warshall(g: Graph, v: int) -> int:
     dist = floyd_warshall(g)
     assert all(d != INF for d in dist[v])
     return int(sum(dist[v]))
+
+
+def structural_wiener(table, ids) -> int:
+    """Wiener index of the even cycle carrying ``table``'s trees ``ids`` in order.
+
+    The leaf-time formula: with s_i, D_i and Q_i the size, depth sum and
+    sum of squared non-root subtree sizes of the tree at cycle vertex i,
+    W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
+    every pair of cycle vertices summed at once.
+    """
+    sizes = [table.size[t] for t in ids]
+    n = sum(sizes)
+    total = n * sum(table.depth_sum[t] for t in ids) - sum(table.square_sum[t] for t in ids)
+    length = len(sizes)
+    half = length // 2
+    for k in range(1, half):
+        total += k * sum(sizes[i] * sizes[i - k] for i in range(length))
+    return total + half * sum(sizes[i] * sizes[i + half] for i in range(half))
 
 
 def dfs_two_coloring(g: Graph) -> tuple[set[int], set[int]] | None:

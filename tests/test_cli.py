@@ -214,6 +214,38 @@ def test_unwritable_output_is_a_file_error(capsys, tmp_path):
     assert err.startswith("error: ") and str(target) in err
 
 
+def test_unwritable_output_fails_before_the_search(capsys, tmp_path, monkeypatch):
+    from wiener_unicyclic import enumeration, verification
+
+    def refuse(*args):
+        raise AssertionError("the search ran before --output was opened")
+
+    monkeypatch.setattr(enumeration, "_search", refuse)
+    monkeypatch.setattr(verification, "_search", refuse)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "table", "--n-max", "14", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "side,other",
+    [("--max", ["build_min_extremal"]), ("--min", ["build_onion", "theorem_polynomial"])],
+)
+def test_verify_builds_only_the_side_it_prints(capsys, monkeypatch, side, other):
+    from wiener_unicyclic import verification
+
+    def refuse(*args):
+        raise AssertionError(f"{side} built the other side's report")
+
+    for name in other:
+        monkeypatch.setattr(verification, name, refuse)
+    code, out, _ = run_cli(capsys, "verify", side, "3", "4")
+    assert code == 0
+    assert out.startswith(f"verify {side[2:]} p=3 q=4")
+
+
 def test_cli_import_does_not_load_networkx():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -26,6 +26,7 @@ from oracles import (
     _trees,
     bracelet_stream,
     labeled_unicyclic_bipartite_classes,
+    structural_wiener,
     tree_plus_edge_classes,
 )
 
@@ -187,6 +188,15 @@ def test_structural_wiener_matches_bfs():
         for p in range(2, n // 2 + 1):
             for c in unicyclic_classes(EnumSpec(p, n - p)):
                 assert c.wiener == wiener_index(c.graph()), c.trees
+
+
+def test_carried_wiener_matches_leaf_formula():
+    # the W the search carries down its recursion against the whole-sequence sum
+    for n in range(4, 14):
+        table = RootedTrees(n - 3)
+        for p in range(2, n // 2 + 1):
+            for c in _search(p, n - p, table):
+                assert c.wiener == structural_wiener(table, c.trees), c.trees
 
 
 def test_class_stream_order_is_cycle_length_then_tree_ids():

@@ -21,7 +21,7 @@ from wiener_unicyclic import (
 
 from wiener_unicyclic.enumeration import RootedTrees
 
-from oracles import floyd_warshall, wiener_via_floyd_warshall
+from oracles import floyd_warshall, structural_wiener, wiener_via_floyd_warshall
 
 ROOTED_TREES = RootedTrees(6)
 
@@ -96,4 +96,4 @@ def test_structural_wiener_matches_floyd_warshall(ids):
     g = ROOTED_TREES.graph(ids)
     assert is_unicyclic(g) and bipartition(g) is not None
     assert g.n == sum(ROOTED_TREES.size[t] for t in ids)
-    assert ROOTED_TREES.wiener(ids) == wiener_via_floyd_warshall(g)
+    assert structural_wiener(ROOTED_TREES, ids) == wiener_via_floyd_warshall(g)

@@ -15,6 +15,7 @@ from wiener_unicyclic import (
     graph6_decode,
     lemma_harness,
     structural_checks,
+    verify,
     verify_both,
 )
 from wiener_unicyclic.enumeration import RootedTrees
@@ -218,3 +219,15 @@ def test_verify_both_shares_one_enumeration():
     mx, mn = verify_both(3, 4)
     assert mx.classes == mn.classes == 8
     assert mx.direction == "max" and mn.direction == "min"
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (3, 4), (4, 6)])
+def test_verify_gives_the_report_of_verify_both(p, q):
+    mx, mn = verify_both(p, q)
+    assert verify(p, q, "max") == mx
+    assert verify(p, q, "min") == mn
+
+
+def test_verify_rejects_an_unknown_direction():
+    with pytest.raises(ValueError):
+        verify(3, 4, "both")
