@@ -11,7 +11,6 @@ constructions.
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form
 from .enumeration import (
-    DEFAULT_MAX_N,
     EnumSpec,
     UnicyclicClass,
     count_classes,
@@ -71,7 +70,6 @@ __all__ = [
     "Bipartition",
     "BroomParams",
     "CANONICAL_MAX_VERTICES",
-    "DEFAULT_MAX_N",
     "DisconnectedGraphError",
     "DistanceMatrix",
     "EnumSpec",

@@ -16,7 +16,8 @@ maximum only ever produces a WARNING; it never affects the exit code.
 ``--output`` is opened (created, or truncated) before the subcommand
 does any work, so an unwritable path exits 2 at once; a run that exits 2
 after that, on an unreadable input file or a malformed graph6 line,
-leaves the output file empty.
+leaves the output file empty. A ``wiener`` run whose ``--output`` names
+its input file is a usage error, so the input is never truncated.
 Identical invocations produce byte-identical output.
 """
 
@@ -26,13 +27,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
 from typing import TextIO
 
 from .canon import CANONICAL_MAX_VERTICES, graph_from_canonical
-from .enumeration import DEFAULT_MAX_N, EnumSpec, _canonical_classes
+from .enumeration import EnumSpec, _canonical_classes
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
@@ -40,6 +42,9 @@ from .verification import TableRow, extremal_table, lemma_harness, verify
 
 #: Seed used whenever --seed is not given.
 DEFAULT_SEED = 1
+
+#: --max-n when not given: the command line's guard on p + q, at most 16.
+DEFAULT_MAX_N = 14
 
 USAGE_ERROR = 2
 
@@ -110,6 +115,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file (by path when one is missing)."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
     """Reject out-of-range options with ``parser``'s usage error (exit 2)."""
     if ns.command in ("verify", "enumerate"):
@@ -132,6 +145,8 @@ def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
             parser.error(f"--n-max {ns.n_max} exceeds --max-n {ns.max_n}")
         if ns.p_max is not None and ns.p_max < 2:
             parser.error("--p-max must be at least 2")
+    if ns.command == "wiener" and ns.output and ns.input != "-" and _same_file(ns.input, ns.output):
+        parser.error(f"--output {ns.output} names the input file")
     if ns.command == "harness" and ns.trials < 1:
         parser.error("--trials must be positive")
     if getattr(ns, "threads", 1) < 1:
@@ -268,7 +283,7 @@ def _yn(flag: bool) -> str:
 
 
 def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
-    report = verify(ns.p, ns.q, "min" if ns.min else "max", max_n=ns.max_n)
+    report = verify(ns.p, ns.q, "min" if ns.min else "max")
     if ns.fmt == "json":
         out.write(_json_lines([report.as_record()]))
     elif ns.fmt == "csv":
@@ -282,7 +297,7 @@ def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_enumerate(ns: argparse.Namespace, out: TextIO) -> int:
-    spec = EnumSpec(ns.p, ns.q, ns.max_n)
+    spec = EnumSpec(ns.p, ns.q)
     classes = [(graph6_encode(graph_from_canonical(key)), w) for key, w in _canonical_classes(spec)]
     if ns.fmt == "json":
         out.write(_json_lines([{"graph6": g6, "n": spec.n, "wiener": w} for g6, w in classes]))
@@ -294,7 +309,7 @@ def cmd_enumerate(ns: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_table(ns: argparse.Namespace, out: TextIO) -> int:
-    rows = extremal_table(ns.p_max, ns.n_max, max_n=ns.max_n)
+    rows = extremal_table(ns.p_max, ns.n_max)
     if ns.fmt == "json":
         out.write(_json_lines([r.as_record() for r in rows]))
     elif ns.fmt == "csv":

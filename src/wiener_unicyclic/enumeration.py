@@ -41,10 +41,10 @@ bracelets directly and never compares two graphs:
   with it.
 
 The class stream comes in a fixed order (cycle length, then tree ids).
-The search runs in the calling process: at the orders the canonical-form
-guard allows it takes at most about a second per (p, q), less than a
-process pool costs to start. Only ``enumerate_unicyclic_bipartite``
-builds every graph, and it pays one canonical form per class.
+The search runs in the calling process; at the orders ``EnumSpec``
+allows (p + q <= 16) it takes under a second per (p, q).
+Only ``enumerate_unicyclic_bipartite`` builds every graph, and it pays
+one canonical form per class.
 """
 
 from __future__ import annotations
@@ -58,25 +58,20 @@ from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
 from .families import _check_part_sizes
 from .graphs import Graph
 
-DEFAULT_MAX_N = 14
-
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """Part sizes to enumerate, plus a guard against runaway orders."""
+    """Part sizes 2 <= p <= q, with p + q at most the canonical form's limit of 16."""
 
     p: int
     q: int
-    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self) -> None:
         _check_part_sizes(self.p, self.q)
-        if self.max_n > CANONICAL_MAX_VERTICES:
+        if self.n > CANONICAL_MAX_VERTICES:
             raise ValueError(
-                f"max_n {self.max_n} exceeds canonical-form limit {CANONICAL_MAX_VERTICES}"
+                f"order {self.n} exceeds the canonical-form limit {CANONICAL_MAX_VERTICES}"
             )
-        if self.n > self.max_n:
-            raise ValueError(f"order {self.n} exceeds max_n {self.max_n}")
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
-from .enumeration import DEFAULT_MAX_N, EnumSpec, RootedTrees, UnicyclicClass, _search
+from .enumeration import EnumSpec, RootedTrees, UnicyclicClass, _search
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -66,7 +66,7 @@ class ExtremalReport:
     optimizers: tuple[OptimizerWitness, ...]
     predicted_graph6: str
     predicted_canon: bytes
-    predicted_value_closed_form: int | None
+    predicted_value_closed_form: int
     predicted_value_polynomial: int | None
     value_match: bool
     graph_match: bool
@@ -129,23 +129,21 @@ def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> Ex
     )
 
 
-def verify(p: int, q: int, direction: str, *, max_n: int = DEFAULT_MAX_N) -> ExtremalReport:
+def verify(p: int, q: int, direction: str) -> ExtremalReport:
     """The max or min report for (p, q), as ``direction`` says; the other is not built."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    spec = EnumSpec(p, q, max_n)
+    spec = EnumSpec(p, q)
     return _report(p, q, direction, _search(p, q, RootedTrees(spec.n - 3)))
 
 
-def verify_both(
-    p: int, q: int, *, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> tuple[ExtremalReport, ExtremalReport]:
+def verify_both(p: int, q: int, *, workers: int = 1) -> tuple[ExtremalReport, ExtremalReport]:
     """Max and min reports, in that order, from a single enumeration sweep.
 
     ``workers`` is accepted for compatibility and ignored; the search is
     serial.
     """
-    spec = EnumSpec(p, q, max_n)
+    spec = EnumSpec(p, q)
     classes = _search(p, q, RootedTrees(spec.n - 3))
     return _report(p, q, "max", classes), _report(p, q, "min", classes)
 
@@ -266,11 +264,9 @@ def structural_checks(g: Graph) -> StructuralCheck:
     )
 
 
-def check_structural_consequences(
-    p: int, q: int, *, max_n: int = DEFAULT_MAX_N
-) -> list[StructuralCheck]:
+def check_structural_consequences(p: int, q: int) -> list[StructuralCheck]:
     """Structure report for every brute-force maximizer at (p, q)."""
-    mx = verify(p, q, "max", max_n=max_n)
+    mx = verify(p, q, "max")
     return [structural_checks(graph_from_canonical(w.canon)) for w in mx.optimizers]
 
 
@@ -454,18 +450,11 @@ class TableRow:
         return _record(self)
 
 
-def extremal_table(
-    p_max: int | None = None,
-    n_max: int = 10,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[TableRow]:
-    """One row per (p, q) with 2 <= p <= q, p + q <= n_max, p <= p_max."""
-    if n_max > max_n:
-        raise ValueError(f"n_max {n_max} exceeds max_n guard {max_n}")
+def extremal_table(p_max: int | None = None, n_max: int = 10) -> list[TableRow]:
+    """One row per (p, q) with 2 <= p <= q, p + q <= n_max (at most 16), p <= p_max."""
     if p_max is None:
         p_max = n_max // 2
-    specs = [EnumSpec(p, q, max_n) for p in range(2, p_max + 1) for q in range(p, n_max - p + 1)]
+    specs = [EnumSpec(p, q) for p in range(2, p_max + 1) for q in range(p, n_max - p + 1)]
     table = RootedTrees(n_max - 3)  # one table serves every pair: ids do not depend on its size
     rows = []
     for spec in specs:
@@ -478,12 +467,12 @@ def extremal_table(
                 classes=mx.classes,
                 min_wiener=mn.optimum,
                 max_wiener=mx.optimum,
-                closed_form=mx.predicted_value_closed_form or 0,
-                polynomial=mx.predicted_value_polynomial or 0,
+                closed_form=mx.predicted_value_closed_form,
+                polynomial=mx.predicted_value_polynomial,
                 max_value_match=mx.value_match,
                 max_graph_match=mx.graph_match,
                 max_unique=mx.uniqueness,
-                polynomial_match=bool(mx.polynomial_match),
+                polynomial_match=mx.polynomial_match,
                 min_graph_match=mn.graph_match,
             )
         )

@@ -27,7 +27,7 @@ def stream_record(p: int, q: int) -> dict:
     """Class count and stream digest of (p, q)."""
     digest = hashlib.sha256()
     classes = 0
-    for c in unicyclic_classes(EnumSpec(p, q, max_n=p + q)):
+    for c in unicyclic_classes(EnumSpec(p, q)):
         digest.update((" ".join(map(str, (c.wiener, *c.trees))) + "\n").encode())
         classes += 1
     return {"p": p, "q": q, "classes": classes, "stream_sha256": digest.hexdigest()}

@@ -75,7 +75,7 @@ def test_criterion_1_closed_form_agreement():
 def test_criterion_2_theorem_construction_exhaustive(reports):
     checked = list(reports.items())
     if os.environ.get("WU_ACCEPT_N13"):
-        checked += [((p, q), verify_both(p, q, max_n=13)) for (p, q) in _pairs(13) if p + q == 13]
+        checked += [((p, q), verify_both(p, q)) for (p, q) in _pairs(13) if p + q == 13]
     for (p, q), (mx, _) in checked:
         params = extremal_onion_params(p, q)
         assert mx.optimum == onion_wiener_closed_form(params), (p, q)

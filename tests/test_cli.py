@@ -107,6 +107,8 @@ def test_verify_usage_error_on_bad_range(capsys):
         (["onion", "0", "58", "4"], "On(0, 58, 4) has 65 vertices; graphs hold at most 64"),
         (["verify", "3", "3", "--threads", "0"], "--threads must be positive"),
         (["table", "--p-max", "1"], "--p-max must be at least 2"),
+        (["verify", "7", "8"], "p + q = 15 exceeds --max-n 14"),
+        (["table", "--n-max", "15"], "--n-max 15 exceeds --max-n 14"),
     ],
 )
 def test_limits_are_usage_errors(capsys, argv, message):
@@ -212,6 +214,22 @@ def test_unwritable_output_is_a_file_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_wiener_output_naming_its_input_is_a_usage_error(capsys, tmp_path, spelling):
+    path = tmp_path / "in.g6"
+    data = graph6_encode(build_cycle(4)) + "\n"
+    path.write_text(data)
+    spellings = {"same": str(path), "dotted": f"{tmp_path}/./in.g6", "symlink": f"{tmp_path}/link.g6"}
+    target = spellings[spelling]
+    if spelling == "symlink":
+        os.symlink(path, target)
+    with pytest.raises(SystemExit) as exc:
+        main(["wiener", str(path), "--output", target])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --output {target} names the input file\n")
+    assert path.read_text() == data
 
 
 def test_unwritable_output_fails_before_the_search(capsys, tmp_path, monkeypatch):

@@ -36,10 +36,9 @@ def test_spec_validation():
         EnumSpec(1, 3)
     with pytest.raises(ValueError):
         EnumSpec(3, 2)
-    with pytest.raises(ValueError):
-        EnumSpec(8, 8, max_n=14)
-    with pytest.raises(ValueError):
-        EnumSpec(2, 2, max_n=17)
+    EnumSpec(8, 8)  # order 16, the canonical form's limit
+    with pytest.raises(ValueError, match="order 17 exceeds the canonical-form limit 16"):
+        EnumSpec(8, 9)
 
 
 def test_smallest_case_is_cycle_four():

@@ -211,8 +211,8 @@ class TestExtremalTable:
     def test_bounds(self):
         rows = extremal_table(p_max=2, n_max=8)
         assert {(r.p, r.q) for r in rows} == {(2, q) for q in range(2, 7)}
-        with pytest.raises(ValueError):
-            extremal_table(n_max=20, max_n=14)
+        with pytest.raises(ValueError, match="order 17 exceeds the canonical-form limit 16"):
+            extremal_table(n_max=17)
 
 
 def test_verify_both_shares_one_enumeration():
@@ -226,6 +226,22 @@ def test_verify_gives_the_report_of_verify_both(p, q):
     mx, mn = verify_both(p, q)
     assert verify(p, q, "max") == mx
     assert verify(p, q, "min") == mn
+
+
+def test_verify_both_reaches_order_fifteen():
+    mx, mn = verify_both(7, 8)
+    assert mx.ok and mn.ok
+    assert mx.classes == 25102  # data/class_stream_n15_16.json
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: verify(8, 9, "max"), lambda: check_structural_consequences(8, 9)],
+    ids=["verify", "check_structural_consequences"],
+)
+def test_orders_above_sixteen_are_rejected(call):
+    with pytest.raises(ValueError, match="exceeds the canonical-form limit 16"):
+        call()
 
 
 def test_verify_rejects_an_unknown_direction():
