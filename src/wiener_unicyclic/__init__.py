@@ -42,6 +42,7 @@ from .graphs import (
     Graph,
     all_pairs_distances,
     bipartition,
+    cycle_vertices,
     is_unicyclic,
     transmission,
     transmissions,
@@ -54,7 +55,6 @@ from .verification import (
     StructuralCheck,
     TableRow,
     check_structural_consequences,
-    cycle_vertices,
     extremal_table,
     lemma_harness,
     random_connected_graph,

@@ -15,6 +15,11 @@ Branches that differ only by swapping two vertices whose transposition
 is an automorphism are pruned, which collapses the pendant clusters that
 dominate the graphs handled here. Deterministic across runs and vertex
 labelings; intended for n <= CANONICAL_MAX_VERTICES only.
+
+Verification decides ``graph_match`` and ``uniqueness`` on bracelet codes
+(``RootedTrees.bracelet_code``), not here: in verification the canonical
+form only fills the printed witness fields, ``canon``, ``graph6`` and
+``predicted_canon``.
 """
 
 from __future__ import annotations

@@ -39,6 +39,13 @@ bracelets directly and never compares two graphs:
   it is built, and since a necklace starts with its least bead, only
   the rotations of the reversal that start with that bead are compared
   with it.
+* **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
+  unicyclic graph back to the tree ids the search emits for its class:
+  each hanging tree's id comes bottom up from its children's ids (Aho,
+  Hopcroft and Ullman, 1974), and the code is the least of the cycle's
+  2L rotations and reflections. Verification decides ``graph_match``
+  and ``uniqueness`` on these codes, so ``canonical_form`` only fills the
+  printed witness fields.
 
 The class stream comes in a fixed order (cycle length, then tree ids).
 The search runs in the calling process; at the orders ``EnumSpec``
@@ -56,7 +63,7 @@ from typing import Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
 from .families import _check_part_sizes
-from .graphs import Graph
+from .graphs import Graph, _bfs_layers, bits, cycle_vertices
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class RootedTrees:
     ids ``bounds[s][o]`` to ``bounds[s][o' + 1]``. Per id the table holds
     the children's ids, the size, the depth sum D, the sum Q of squared
     subtree sizes over non-root vertices, and the number of vertices at
-    odd depth.
+    odd depth; ``tree_id`` maps each tuple of children's ids back to its id.
 
     A tree of size s > 1 is grown once, from the smaller tree t that is
     itself without its last child c: |c| = s - |t|, and c's id is at least
@@ -130,6 +137,8 @@ class RootedTrees:
             row = [bisect_left(odd, o, first) for o in range(s + 1)]
             bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
         bounds.append([len(size)])
+        self.max_size = max_size
+        self.tree_id = {c: t for t, c in enumerate(kids)}
 
     def graph(self, ids: Sequence[int]) -> Graph:
         """The cycle 0, 1, ..., L-1 with tree ``ids[i]`` rooted at vertex i."""
@@ -145,10 +154,53 @@ class RootedTrees:
                 n += 1
         return Graph.from_edges(n, edges)
 
+    def bracelet_code(self, g: Graph) -> tuple[int, ...]:
+        """The tree ids around the cycle of connected unicyclic ``g``, as ``_search`` emits them.
 
-@dataclass(frozen=True)
-class UnicyclicClass:
-    """One isomorphism class: tree ids around the cycle, and its Wiener index."""
+        Each vertex of a hanging tree gets its id bottom up from the sorted
+        tuple of its children's ids (Aho, Hopcroft and Ullman, 1974), and the
+        code is the least of the 2L rotations and reflections of the roots'
+        ids. Two such graphs are isomorphic exactly when their codes agree,
+        so ``bracelet_code(c.graph()) == c.trees`` for every class ``c`` the
+        search emits, under any labeling. Raises ``ValueError`` when ``g`` is
+        not connected unicyclic or a hanging tree has more than ``max_size``
+        vertices.
+        """
+        cycle = cycle_vertices(g)
+        adj, tree_id = g.adj, self.tree_id
+        # by distance from the cycle; g has no second cycle, so the children
+        # of a vertex are its neighbours in the next layer
+        layers = list(_bfs_layers(adj, sum(1 << v for v in cycle)))
+        if sum(layers) != (1 << g.n) - 1:
+            raise ValueError("graph is not connected")
+        tree, below = {}, 0  # tree[v]: the id of the subtree at v
+        for layer in reversed(layers):
+            for v in bits(layer):
+                kids = adj[v] & below
+                key = tuple(sorted([tree[c] for c in bits(kids)])) if kids else ()
+                if key not in tree_id:
+                    raise ValueError(
+                        f"a hanging tree has more than the table's {self.max_size} vertices"
+                    )
+                tree[v] = tree_id[key]
+            below = layer
+        ids = [tree[v] for v in cycle]
+        return min(tuple(s[k:] + s[:k]) for s in (ids, ids[::-1]) for k in range(len(ids)))
+
+
+class _WeakReferable:
+    """A ``__weakref__`` slot for a slotted dataclass (``weakref_slot`` needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class UnicyclicClass(_WeakReferable):
+    """One isomorphism class: tree ids around the cycle, and its Wiener index.
+
+    Equality reads ``wiener`` and ``trees`` only. Slotted and not frozen, so
+    the search pays no ``object.__setattr__`` for each class it emits.
+    """
 
     wiener: int
     trees: tuple[int, ...]

@@ -6,9 +6,11 @@ Wiener index, come from one kernel that grows the ball of every vertex at
 once: with B_d(v) the set of vertices within distance d of v, B_{d+1}(v)
 is the union of B_d(w) over v and its neighbours w, and the transmission
 is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
-per edge end. Single-source questions use one bitmask BFS helper, which
-lists the vertices at each distance from a start vertex: it serves
-distance rows (and so one transmission), connectivity and bipartition.
+per edge end. Distances from one vertex, or from a set of vertices, come
+from one bitmask BFS helper, which lists the vertices at each distance:
+it serves distance rows (and so one transmission), connectivity,
+bipartition and the trees that hang off the cycle of a unicyclic graph.
+``cycle_vertices`` peels leaves to find the cycle of a unicyclic graph.
 Everything is a pure function; operations that would change a graph
 return a new one instead.
 """
@@ -124,7 +126,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        return sum(_bfs_layers(self.adj, 0)) == (1 << self.n) - 1
+        return sum(_bfs_layers(self.adj, 1)) == (1 << self.n) - 1
 
 
 @dataclass(frozen=True)
@@ -158,13 +160,13 @@ class Bipartition:
         return (self.p, self.q)
 
 
-def _bfs_layers(adj: Sequence[int], start: int, blocked: int = 0) -> Iterator[int]:
-    """Yield the vertices at distance 0, 1, 2, ... from ``start`` as bitmasks.
+def _bfs_layers(adj: Sequence[int], starts: int, blocked: int = 0) -> Iterator[int]:
+    """Yield the vertices at distance 0, 1, 2, ... from the set ``starts`` as bitmasks.
 
-    Paths never enter a vertex of ``blocked``. The layers are disjoint, so
-    their sum is the set of vertices reached.
+    ``starts`` is a bitmask. Paths never enter a vertex of ``blocked``. The
+    layers are disjoint, so their sum is the set of vertices reached.
     """
-    frontier = 1 << start
+    frontier = starts
     seen = frontier | blocked
     while frontier:
         yield frontier
@@ -177,7 +179,7 @@ def _bfs_layers(adj: Sequence[int], start: int, blocked: int = 0) -> Iterator[in
 
 def _bfs_row(adj: Sequence[int], n: int, start: int) -> list[int]:
     row = [UNREACHABLE] * n
-    for d, layer in enumerate(_bfs_layers(adj, start)):
+    for d, layer in enumerate(_bfs_layers(adj, 1 << start)):
         for v in bits(layer):
             row[v] = d
     return row
@@ -254,7 +256,7 @@ def bipartition(g: Graph) -> Bipartition | None:
         raise DisconnectedGraphError("graph has no vertices")
     adj = g.adj
     parts = [0, 0]  # vertices at even and at odd distance from vertex 0
-    for d, layer in enumerate(_bfs_layers(adj, 0)):
+    for d, layer in enumerate(_bfs_layers(adj, 1)):
         parts[d & 1] |= layer
     even, odd = parts
     if (even | odd) != (1 << g.n) - 1:
@@ -268,6 +270,42 @@ def bipartition(g: Graph) -> Bipartition | None:
     if len(a) < len(b) or (len(a) == len(b) and 0 in a):
         return Bipartition(a, b)
     return Bipartition(b, a)
+
+
+def cycle_vertices(g: Graph) -> list[int]:
+    """The unique cycle of a unicyclic graph, in cyclic order.
+
+    Starts at the smallest cycle vertex and walks towards its smaller
+    cycle neighbour, so the order is deterministic.
+    """
+    deg = [a.bit_count() for a in g.adj]
+    alive = (1 << g.n) - 1
+    stack = [v for v in range(g.n) if deg[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if not alive >> v & 1:
+            continue
+        alive &= ~(1 << v)
+        for w in bits(g.adj[v] & alive):
+            deg[w] -= 1
+            if deg[w] == 1:
+                stack.append(w)
+    if not alive:
+        raise ValueError("graph has no cycle")
+    if any((g.adj[v] & alive).bit_count() != 2 for v in bits(alive)):
+        raise ValueError("graph has more than one cycle")
+    start = next(bits(alive))
+    order = [start]
+    prev = -1
+    cur = start
+    while True:
+        nxt = min(w for w in bits(g.adj[cur] & alive) if w != prev)
+        if nxt == start:
+            if len(order) != alive.bit_count():  # another cycle, in another component
+                raise ValueError("graph has more than one cycle")
+            return order
+        order.append(nxt)
+        prev, cur = cur, nxt
 
 
 def is_unicyclic(g: Graph) -> bool:

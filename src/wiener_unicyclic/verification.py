@@ -7,6 +7,11 @@ predicted construction: the onion graph with its closed-form value on
 the max side, the two-pendant-cluster cycle on the min side. The
 published polynomial for the maximum is evaluated and reported but
 never asserted; it is known to disagree with the verified construction.
+``graph_match`` (the prediction is an optimizer) and ``uniqueness`` (one
+optimizer class) are decided on bracelet codes, with no canonical form:
+``extremal_table`` computes none, and a report computes only the ones it
+prints, ``canon`` and ``graph6`` of each optimizer and
+``predicted_canon``.
 
 ``lemma_harness`` stress-tests the two coalescence facts everything
 else leans on: the exact Wiener decomposition of a one-vertex
@@ -34,7 +39,15 @@ from .families import (
     theorem_polynomial,
 )
 from .graph6 import graph6_encode
-from .graphs import Graph, _bfs_layers, bipartition, bits, transmissions, wiener_index
+from .graphs import (
+    Graph,
+    _bfs_layers,
+    bipartition,
+    bits,
+    cycle_vertices,
+    transmissions,
+    wiener_index,
+)
 
 
 def _hex_bytes(items: list[tuple[str, object]]) -> dict:
@@ -91,8 +104,38 @@ def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWi
     return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
 
 
-def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> ExtremalReport:
-    """The ``direction`` report ("max" or "min") over every class with parts (p, q).
+@dataclass(frozen=True)
+class _Summary:
+    """One side of the search for (p, q), decided without canonical forms.
+
+    ``graph_match`` holds when the predicted graph's bracelet code is the
+    tree ids of an optimizer class, and ``uniqueness`` when there is one
+    optimizer class; the bracelet code is a complete invariant of connected
+    unicyclic graphs, so both agree with a comparison of canonical forms.
+    """
+
+    optimum: int
+    optimizers: list[UnicyclicClass]
+    predicted: Graph
+    predicted_value: int
+    polynomial: int | None
+    graph_match: bool
+
+    @property
+    def uniqueness(self) -> bool:
+        return len(self.optimizers) == 1
+
+    @property
+    def value_match(self) -> bool:
+        return self.optimum == self.predicted_value
+
+    @property
+    def polynomial_match(self) -> bool | None:
+        return None if self.polynomial is None else self.optimum == self.polynomial
+
+
+def _summary(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> _Summary:
+    """The ``direction`` side ("max" or "min") over every class with parts (p, q).
 
     The max side predicts the onion with its closed-form value and the
     published polynomial, the min side the two-pendant-cluster cycle with
@@ -109,23 +152,36 @@ def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> Ex
         optimum = min(c.wiener for c in classes)
         predicted = build_min_extremal(p, q)
         predicted_value, polynomial = wiener_index(predicted), None
-    witnesses = _optimizer_witnesses(c for c in classes if c.wiener == optimum)
-    predicted_canon = canonical_form(predicted)
+    optimizers = [c for c in classes if c.wiener == optimum]
+    code = classes[0].table.bracelet_code(predicted)
+    return _Summary(
+        optimum=optimum,
+        optimizers=optimizers,
+        predicted=predicted,
+        predicted_value=predicted_value,
+        polynomial=polynomial,
+        graph_match=any(c.trees == code for c in optimizers),
+    )
+
+
+def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> ExtremalReport:
+    """The ``direction`` summary, with the canonical forms and graph6 it prints."""
+    side = _summary(p, q, direction, classes)
     return ExtremalReport(
         p=p,
         q=q,
         direction=direction,
         classes=len(classes),
-        optimum=optimum,
-        optimizers=witnesses,
-        predicted_graph6=graph6_encode(predicted),
-        predicted_canon=predicted_canon,
-        predicted_value_closed_form=predicted_value,
-        predicted_value_polynomial=polynomial,
-        value_match=optimum == predicted_value,
-        graph_match=predicted_canon in {w.canon for w in witnesses},
-        uniqueness=len(witnesses) == 1,
-        polynomial_match=None if polynomial is None else optimum == polynomial,
+        optimum=side.optimum,
+        optimizers=_optimizer_witnesses(side.optimizers),
+        predicted_graph6=graph6_encode(side.predicted),
+        predicted_canon=canonical_form(side.predicted),
+        predicted_value_closed_form=side.predicted_value,
+        predicted_value_polynomial=side.polynomial,
+        value_match=side.value_match,
+        graph_match=side.graph_match,
+        uniqueness=side.uniqueness,
+        polynomial_match=side.polynomial_match,
     )
 
 
@@ -181,48 +237,12 @@ class StructuralCheck:
         return all(checks)
 
 
-def cycle_vertices(g: Graph) -> list[int]:
-    """The unique cycle of a unicyclic graph, in cyclic order.
-
-    Starts at the smallest cycle vertex and walks towards its smaller
-    cycle neighbour, so the order is deterministic.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = (1 << g.n) - 1
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        if not alive >> v & 1:
-            continue
-        alive &= ~(1 << v)
-        for w in bits(g.adj[v] & alive):
-            deg[w] -= 1
-            if deg[w] == 1:
-                stack.append(w)
-    if not alive:
-        raise ValueError("graph has no cycle")
-    if any((g.adj[v] & alive).bit_count() != 2 for v in bits(alive)):
-        raise ValueError("graph has more than one cycle")
-    start = next(bits(alive))
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = min(w for w in bits(g.adj[cur] & alive) if w != prev)
-        if nxt == start:
-            if len(order) != alive.bit_count():  # another cycle, in another component
-                raise ValueError("graph has more than one cycle")
-            return order
-        order.append(nxt)
-        prev, cur = cur, nxt
-
-
 def _is_broom_rooted(g: Graph, root: int, cycle_mask: int) -> bool:
     """Whether the tree hanging off cycle vertex ``root`` is a broom.
 
     Broom = path from the root with branching confined to its far end.
     """
-    tree_mask = sum(_bfs_layers(g.adj, root, cycle_mask & ~(1 << root)))
+    tree_mask = sum(_bfs_layers(g.adj, 1 << root, cycle_mask & ~(1 << root)))
     prev = -1
     cur = root
     while True:
@@ -459,16 +479,17 @@ def extremal_table(p_max: int | None = None, n_max: int = 10) -> list[TableRow]:
     rows = []
     for spec in specs:
         classes = _search(spec.p, spec.q, table)
-        mx, mn = _report(spec.p, spec.q, "max", classes), _report(spec.p, spec.q, "min", classes)
+        mx = _summary(spec.p, spec.q, "max", classes)
+        mn = _summary(spec.p, spec.q, "min", classes)
         rows.append(
             TableRow(
                 p=spec.p,
                 q=spec.q,
-                classes=mx.classes,
+                classes=len(classes),
                 min_wiener=mn.optimum,
                 max_wiener=mx.optimum,
-                closed_form=mx.predicted_value_closed_form,
-                polynomial=mx.predicted_value_polynomial,
+                closed_form=mx.predicted_value,
+                polynomial=mx.polynomial,
                 max_value_match=mx.value_match,
                 max_graph_match=mx.graph_match,
                 max_unique=mx.uniqueness,

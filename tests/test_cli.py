@@ -1,5 +1,6 @@
 """Command-line behaviour: records, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -272,3 +273,13 @@ def test_cli_import_does_not_load_networkx():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.environ.get("WU_ACCEPT_N13"), reason="order 16 needs WU_ACCEPT_N13")
+def test_headline_table_csv_is_pinned(capsys):
+    # every (p, q) with p + q <= 16; the digest is the one BENCH_pr8.json records
+    code, out, _ = run_cli(capsys, "table", "--n-max", "16", "--max-n", "16", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "25dddcfe2690c98c9f6779929345de363e571d507ee51632f72aece9aa5a8cd7"
+    )

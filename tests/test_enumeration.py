@@ -1,12 +1,14 @@
 """Enumerator: soundness, completeness against the labeled oracle, determinism."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from wiener_unicyclic import (
     EnumSpec,
+    Graph,
     bipartition,
     build_cycle,
     build_min_extremal,
@@ -201,3 +203,44 @@ def test_carried_wiener_matches_leaf_formula():
 def test_class_stream_order_is_cycle_length_then_tree_ids():
     seq = [c.trees for c in unicyclic_classes(EnumSpec(5, 7))]
     assert seq == sorted(seq, key=lambda ids: (len(ids), ids))
+
+
+def test_bracelet_code_of_a_relabeled_class_is_its_tree_ids():
+    # the AHU code of every class's graph under a random labeling, against the search's ids
+    rng = random.Random(1974)
+    table = RootedTrees(9)
+    for n in range(4, 13):
+        for p in range(2, n // 2 + 1):
+            for c in _search(p, n - p, table):
+                g = c.graph()
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert table.bracelet_code(g.relabel(perm)) == c.trees, c.trees
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (Graph.from_edges(3, [(0, 1), (1, 2)]), "no cycle"),
+        (
+            Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]),
+            "more than one cycle",
+        ),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]), "not connected"),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), "not connected"),
+    ],
+    ids=["tree", "two-cycles", "extra-edge", "isolated-vertex"],
+)
+def test_bracelet_code_rejects_graphs_that_are_not_connected_unicyclic(g, message):
+    with pytest.raises(ValueError, match=message):
+        RootedTrees(3).bracelet_code(g)
+
+
+def test_bracelet_code_rejects_a_hanging_tree_beyond_the_table():
+    # a path of four vertices hangs at cycle vertex 0: a rooted tree of five
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7)])
+    with pytest.raises(ValueError, match="more than the table's 4 vertices"):
+        RootedTrees(4).bracelet_code(g)
+    table = RootedTrees(5)
+    *bare, path = table.bracelet_code(g)
+    assert bare == [0, 0, 0] and table.size[path] == 5

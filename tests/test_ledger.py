@@ -12,7 +12,16 @@ import os
 
 import pytest
 
-from wiener_unicyclic import EnumSpec, canonical_form, enumerate_unicyclic_bipartite, verify_both
+from wiener_unicyclic import (
+    EnumSpec,
+    build_min_extremal,
+    build_onion,
+    canonical_form,
+    enumerate_unicyclic_bipartite,
+    extremal_onion_params,
+    extremal_table,
+    verify_both,
+)
 
 LEDGER = os.path.join(os.path.dirname(__file__), "data", "verified_n14.jsonl")
 
@@ -43,3 +52,27 @@ def test_enumerator_matches_ledger(record):
     assert (mx.optimum, mn.optimum) == (record["max"], record["min"])
     assert [w.canon.hex() for w in mx.optimizers] == record["max_optimizers"]
     assert [w.canon.hex() for w in mn.optimizers] == record["min_optimizers"]
+
+
+@pytest.fixture(scope="module")
+def table_rows():
+    return {(r.p, r.q): r for r in extremal_table(n_max=_n_max())}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: f"{r['p']}-{r['q']}")
+def test_table_rows_match_ledger(record, table_rows):
+    # the table decides on bracelet codes; the ledger holds the optimizers' canonical forms
+    p, q = record["p"], record["q"]
+    if p + q > _n_max():
+        pytest.skip("orders 13 and 14 need WU_ACCEPT_N13")
+    row = table_rows[(p, q)]
+    onion = canonical_form(build_onion(extremal_onion_params(p, q))).hex()
+    least = canonical_form(build_min_extremal(p, q)).hex()
+    assert (row.classes, row.max_wiener, row.min_wiener) == (
+        record["classes"],
+        record["max"],
+        record["min"],
+    )
+    assert row.max_graph_match == (onion in record["max_optimizers"])
+    assert row.min_graph_match == (least in record["min_optimizers"])
+    assert row.max_unique == (len(record["max_optimizers"]) == 1)

@@ -18,6 +18,7 @@ from wiener_unicyclic import (
     verify,
     verify_both,
 )
+from wiener_unicyclic import canon, enumeration, verification
 from wiener_unicyclic.enumeration import RootedTrees
 from wiener_unicyclic.verification import cycle_six_is_min_optimizer
 
@@ -208,6 +209,16 @@ class TestExtremalTable:
         assert len(rows) == 9
         assert sizes == [5]
 
+    def test_makes_no_canonical_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("extremal_table computed a canonical form")
+
+        for module in (canon, enumeration, verification):
+            monkeypatch.setattr(module, "canonical_form", refuse)
+        rows = extremal_table(n_max=12)
+        assert len(rows) == 25
+        assert all(r.ok for r in rows)
+
     def test_bounds(self):
         rows = extremal_table(p_max=2, n_max=8)
         assert {(r.p, r.q) for r in rows} == {(2, q) for q in range(2, 7)}
@@ -226,6 +237,16 @@ def test_verify_gives_the_report_of_verify_both(p, q):
     mx, mn = verify_both(p, q)
     assert verify(p, q, "max") == mx
     assert verify(p, q, "min") == mn
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_graph_match_agrees_with_canonical_forms(n):
+    # graph_match is decided on bracelet codes; the printed canonical forms must agree
+    for p in range(2, n // 2 + 1):
+        for direction in ("max", "min"):
+            r = verify(p, n - p, direction)
+            assert r.graph_match == (r.predicted_canon in {w.canon for w in r.optimizers})
+            assert r.uniqueness == (len(r.optimizers) == 1)
 
 
 def test_verify_both_reaches_order_fifteen():
