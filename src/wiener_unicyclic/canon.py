@@ -24,7 +24,7 @@ form only fills the printed witness fields, ``canon``, ``graph6`` and
 
 from __future__ import annotations
 
-from .graphs import Graph, bits
+from .graphs import MAX_VERTICES, Graph, bits
 
 CANONICAL_MAX_VERTICES = 16
 
@@ -118,15 +118,22 @@ def graph_from_canonical(form: bytes) -> Graph:
 
     ``canonical_form(graph_from_canonical(f)) == f`` for every form
     produced by :func:`canonical_form`, which makes the decoded graph a
-    deterministic representative of its isomorphism class.
+    deterministic representative of its isomorphism class. Raises
+    ``ValueError`` on a form of the wrong length, of more than
+    ``MAX_VERTICES`` vertices, or with a set padding bit (the high bits of
+    the byte after the order), none of which ``canonical_form`` produces.
     """
     if not form:
         raise ValueError("empty canonical form")
     n = form[0]
+    if n > MAX_VERTICES:
+        raise ValueError(f"canonical form of {n} vertices exceeds the supported {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     if len(form) != 1 + (nbits + 7) // 8:
         raise ValueError("canonical form has the wrong length")
     body = int.from_bytes(form[1:], "big")
+    if body >> nbits:
+        raise ValueError("canonical form has non-zero padding bits")
     adj = [0] * n
     bit = nbits - 1
     for i in range(n):

@@ -57,7 +57,7 @@ one canonical form per class.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -75,10 +75,13 @@ class EnumSpec:
 
     def __post_init__(self) -> None:
         _check_part_sizes(self.p, self.q)
-        if self.n > CANONICAL_MAX_VERTICES:
-            raise ValueError(
-                f"order {self.n} exceeds the canonical-form limit {CANONICAL_MAX_VERTICES}"
-            )
+        self.check_order(self.n)
+
+    @staticmethod
+    def check_order(n: int) -> None:
+        """Raise ``ValueError`` when order ``n`` exceeds the canonical form's limit."""
+        if n > CANONICAL_MAX_VERTICES:
+            raise ValueError(f"order {n} exceeds the canonical-form limit {CANONICAL_MAX_VERTICES}")
 
     @property
     def n(self) -> int:
@@ -155,16 +158,16 @@ class RootedTrees:
         return Graph.from_edges(n, edges)
 
     def bracelet_code(self, g: Graph) -> tuple[int, ...]:
-        """The tree ids around the cycle of connected unicyclic ``g``, as ``_search`` emits them.
+        """The tree ids around the cycle of connected unicyclic ``g``, as the search emits them.
 
         Each vertex of a hanging tree gets its id bottom up from the sorted
         tuple of its children's ids (Aho, Hopcroft and Ullman, 1974), and the
         code is the least of the 2L rotations and reflections of the roots'
         ids. Two such graphs are isomorphic exactly when their codes agree,
-        so ``bracelet_code(c.graph()) == c.trees`` for every class ``c`` the
-        search emits, under any labeling. Raises ``ValueError`` when ``g`` is
-        not connected unicyclic or a hanging tree has more than ``max_size``
-        vertices.
+        so ``bracelet_code(graph(c.trees)) == c.trees`` for every class ``c``
+        that ``unicyclic_classes`` returns with this table, under any
+        labeling. Raises ``ValueError`` when ``g`` is not connected unicyclic
+        or a hanging tree has more than ``max_size`` vertices.
         """
         cycle = cycle_vertices(g)
         adj, tree_id = g.adj, self.tree_id
@@ -188,32 +191,33 @@ class RootedTrees:
         return min(tuple(s[k:] + s[:k]) for s in (ids, ids[::-1]) for k in range(len(ids)))
 
 
-class _WeakReferable:
-    """A ``__weakref__`` slot for a slotted dataclass (``weakref_slot`` needs Python 3.11)."""
-
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(slots=True)
-class UnicyclicClass(_WeakReferable):
+class UnicyclicClass:
     """One isomorphism class: tree ids around the cycle, and its Wiener index.
 
-    Equality reads ``wiener`` and ``trees`` only. Slotted and not frozen, so
-    the search pays no ``object.__setattr__`` for each class it emits.
+    ``RootedTrees.graph(trees)``, on the table the search ran with, gives a
+    representative graph. Slotted and not frozen, so the search pays no
+    ``object.__setattr__`` for each class it emits.
     """
 
     wiener: int
     trees: tuple[int, ...]
-    table: RootedTrees = field(repr=False, compare=False)
-
-    def graph(self) -> Graph:
-        """A representative graph (cycle vertices first, not canonically labeled)."""
-        return self.table.graph(self.trees)
 
 
-def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
-    """Every class with parts (p, q), in stream order; ``trees`` reaches n - 3 vertices."""
-    n = p + q
+def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[UnicyclicClass]:
+    """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
+
+    The order is fixed: cycle length, then tree ids. ``trees`` must reach
+    n - 3 vertices, and is built when not given; ids do not depend on the
+    table's size, so one table can serve every pair of a run.
+    """
+    p, q, n = spec.p, spec.q, spec.n
+    if trees is None:
+        trees = RootedTrees(n - 3)
+    elif trees.max_size < n - 3:
+        raise ValueError(
+            f"the tree table reaches {trees.max_size} vertices, order {n} needs {n - 3}"
+        )
     size, odd, bounds = trees.size, trees.odd, trees.bounds
     # each bead's own share of W, n * D - Q (see the module docstring), for
     # the trees of up to n - 3 vertices, which are the first ids of a larger table
@@ -254,7 +258,7 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
                             if rev[k] == first and rev[k:] + rev[:k] < seq:
                                 break
                         else:
-                            out.append(UnicyclicClass(w + base[j], seq, trees))
+                            out.append(UnicyclicClass(w + base[j], seq))
                 return
             # every later bead is at least a[1], so at least as large
             smallest = size[a[1]] if t > 1 else 0
@@ -291,22 +295,16 @@ def _search(p: int, q: int, trees: RootedTrees) -> list[UnicyclicClass]:
 
         extend(1, 1, 0, 0, 0, 0)
         # extend reaches itself through its closure; unbinding it breaks the
-        # cycle, which would keep out and the table alive until a gc pass
+        # cycle, which would keep out alive until a gc pass
         del extend
     return out
 
 
-def unicyclic_classes(spec: EnumSpec) -> Iterator[UnicyclicClass]:
-    """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
-
-    The order is fixed: cycle length, then tree ids.
-    """
-    yield from _search(spec.p, spec.q, RootedTrees(spec.n - 3))
-
-
 def _canonical_classes(spec: EnumSpec) -> list[tuple[bytes, int]]:
     """(canonical form, Wiener index) of every class, sorted by canonical form."""
-    return sorted((canonical_form(c.graph()), c.wiener) for c in unicyclic_classes(spec))
+    table = RootedTrees(spec.n - 3)
+    classes = unicyclic_classes(spec, table)
+    return sorted((canonical_form(table.graph(c.trees)), c.wiener) for c in classes)
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
@@ -321,4 +319,4 @@ def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
 
 def count_classes(spec: EnumSpec) -> int:
     """Number of isomorphism classes the stream would yield."""
-    return len(_search(spec.p, spec.q, RootedTrees(spec.n - 3)))
+    return len(unicyclic_classes(spec))

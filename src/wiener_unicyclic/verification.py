@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
-from .enumeration import EnumSpec, RootedTrees, UnicyclicClass, _search
+from .enumeration import EnumSpec, RootedTrees, UnicyclicClass, unicyclic_classes
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -98,9 +98,9 @@ class ExtremalReport:
         return _record(self)
 
 
-def _optimizer_witnesses(classes: Iterable[UnicyclicClass]) -> tuple[OptimizerWitness, ...]:
+def _optimizer_witnesses(graphs: Iterable[Graph]) -> tuple[OptimizerWitness, ...]:
     """Witnesses sorted by canonical form; graph6 of the canonically labeled graph."""
-    forms = sorted(canonical_form(c.graph()) for c in classes)
+    forms = sorted(canonical_form(g) for g in graphs)
     return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
 
 
@@ -134,7 +134,9 @@ class _Summary:
         return None if self.polynomial is None else self.optimum == self.polynomial
 
 
-def _summary(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> _Summary:
+def _summary(
+    p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
+) -> _Summary:
     """The ``direction`` side ("max" or "min") over every class with parts (p, q).
 
     The max side predicts the onion with its closed-form value and the
@@ -153,7 +155,7 @@ def _summary(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> _
         predicted = build_min_extremal(p, q)
         predicted_value, polynomial = wiener_index(predicted), None
     optimizers = [c for c in classes if c.wiener == optimum]
-    code = classes[0].table.bracelet_code(predicted)
+    code = table.bracelet_code(predicted)
     return _Summary(
         optimum=optimum,
         optimizers=optimizers,
@@ -164,16 +166,18 @@ def _summary(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> _
     )
 
 
-def _report(p: int, q: int, direction: str, classes: list[UnicyclicClass]) -> ExtremalReport:
+def _report(
+    p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
+) -> ExtremalReport:
     """The ``direction`` summary, with the canonical forms and graph6 it prints."""
-    side = _summary(p, q, direction, classes)
+    side = _summary(p, q, direction, classes, table)
     return ExtremalReport(
         p=p,
         q=q,
         direction=direction,
         classes=len(classes),
         optimum=side.optimum,
-        optimizers=_optimizer_witnesses(side.optimizers),
+        optimizers=_optimizer_witnesses(table.graph(c.trees) for c in side.optimizers),
         predicted_graph6=graph6_encode(side.predicted),
         predicted_canon=canonical_form(side.predicted),
         predicted_value_closed_form=side.predicted_value,
@@ -190,7 +194,8 @@ def verify(p: int, q: int, direction: str) -> ExtremalReport:
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     spec = EnumSpec(p, q)
-    return _report(p, q, direction, _search(p, q, RootedTrees(spec.n - 3)))
+    table = RootedTrees(spec.n - 3)
+    return _report(p, q, direction, unicyclic_classes(spec, table), table)
 
 
 def verify_both(p: int, q: int, *, workers: int = 1) -> tuple[ExtremalReport, ExtremalReport]:
@@ -200,8 +205,9 @@ def verify_both(p: int, q: int, *, workers: int = 1) -> tuple[ExtremalReport, Ex
     serial.
     """
     spec = EnumSpec(p, q)
-    classes = _search(p, q, RootedTrees(spec.n - 3))
-    return _report(p, q, "max", classes), _report(p, q, "min", classes)
+    table = RootedTrees(spec.n - 3)
+    classes = unicyclic_classes(spec, table)
+    return _report(p, q, "max", classes, table), _report(p, q, "min", classes, table)
 
 
 def cycle_six_is_min_optimizer(report: ExtremalReport) -> bool:
@@ -472,15 +478,18 @@ class TableRow:
 
 def extremal_table(p_max: int | None = None, n_max: int = 10) -> list[TableRow]:
     """One row per (p, q) with 2 <= p <= q, p + q <= n_max (at most 16), p <= p_max."""
+    EnumSpec.check_order(n_max)
     if p_max is None:
         p_max = n_max // 2
     specs = [EnumSpec(p, q) for p in range(2, p_max + 1) for q in range(p, n_max - p + 1)]
+    if not specs:
+        return []
     table = RootedTrees(n_max - 3)  # one table serves every pair: ids do not depend on its size
     rows = []
     for spec in specs:
-        classes = _search(spec.p, spec.q, table)
-        mx = _summary(spec.p, spec.q, "max", classes)
-        mn = _summary(spec.p, spec.q, "min", classes)
+        classes = unicyclic_classes(spec, table)
+        mx = _summary(spec.p, spec.q, "max", classes, table)
+        mn = _summary(spec.p, spec.q, "min", classes, table)
         rows.append(
             TableRow(
                 p=spec.p,

@@ -16,6 +16,7 @@ from wiener_unicyclic import (
     random_connected_graph,
 )
 from wiener_unicyclic.canon import CANONICAL_MAX_VERTICES, graph_from_canonical
+from wiener_unicyclic.graphs import MAX_VERTICES
 
 
 def test_cycle_relabeling_invariance():
@@ -79,3 +80,18 @@ def test_canonical_graph_roundtrip():
         rebuilt = graph_from_canonical(form)
         assert canonical_form(rebuilt) == form
         assert rebuilt.n == g.n and rebuilt.num_edges == g.num_edges
+
+
+def test_decoding_rejects_an_order_above_the_graph_limit():
+    n = MAX_VERTICES + 6
+    form = bytes([n]) + bytes((n * (n - 1) // 2 + 7) // 8)
+    with pytest.raises(ValueError, match=f"{n} vertices exceeds the supported {MAX_VERTICES}"):
+        graph_from_canonical(form)
+
+
+@pytest.mark.parametrize("body", [0xE0, 0x08])
+def test_decoding_rejects_set_padding_bits(body):
+    # three vertices take three bits, the low ones of their byte; 0300 is the empty graph
+    with pytest.raises(ValueError, match="padding"):
+        graph_from_canonical(bytes([3, body]))
+    assert graph_from_canonical(bytes([3, body & 0x07])) == Graph.from_edges(3, [])

@@ -239,8 +239,8 @@ def test_unwritable_output_fails_before_the_search(capsys, tmp_path, monkeypatch
     def refuse(*args):
         raise AssertionError("the search ran before --output was opened")
 
-    monkeypatch.setattr(enumeration, "_search", refuse)
-    monkeypatch.setattr(verification, "_search", refuse)
+    monkeypatch.setattr(enumeration, "unicyclic_classes", refuse)
+    monkeypatch.setattr(verification, "unicyclic_classes", refuse)
     target = tmp_path / "missing" / "x"
     code, out, err = run_cli(capsys, "table", "--n-max", "14", "--output", str(target))
     assert code == 2

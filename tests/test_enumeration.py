@@ -2,7 +2,6 @@
 
 import gc
 import random
-import weakref
 
 import pytest
 
@@ -22,7 +21,7 @@ from wiener_unicyclic import (
     wiener_index,
 )
 
-from wiener_unicyclic.enumeration import RootedTrees, _search, unicyclic_classes
+from wiener_unicyclic.enumeration import RootedTrees, unicyclic_classes
 
 from oracles import (
     _trees,
@@ -162,33 +161,42 @@ def test_stream_does_not_depend_on_table_size():
     for n in range(4, 13):
         own = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            assert _search(p, n - p, shared) == _search(p, n - p, own), (p, n - p)
+            spec = EnumSpec(p, n - p)
+            assert unicyclic_classes(spec, shared) == unicyclic_classes(spec, own), (p, n - p)
+
+
+def test_search_rejects_a_table_below_its_order():
+    with pytest.raises(ValueError, match="reaches 3 vertices, order 7 needs 4"):
+        unicyclic_classes(EnumSpec(3, 4), RootedTrees(3))
 
 
 def test_search_result_is_freed_without_garbage_collection():
-    # no reference cycle inside the search may keep its class list alive
+    # the search leaves no reference cycle behind, so nothing waits for a gc pass
     gc.disable()
     try:
-        ref = weakref.ref(_search(3, 4, RootedTrees(4))[0])
-        assert ref() is None
+        gc.collect()
+        unicyclic_classes(EnumSpec(3, 4))
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_matches_tree_plus_edge_route():
     for n in range(4, 11):
+        table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            spec = EnumSpec(p, n - p)
-            mine = [canonical_form(c.graph()) for c in unicyclic_classes(spec)]
+            classes = unicyclic_classes(EnumSpec(p, n - p), table)
+            mine = [canonical_form(table.graph(c.trees)) for c in classes]
             assert len(set(mine)) == len(mine), (p, n - p)
             assert set(mine) == tree_plus_edge_classes(p, n - p), (p, n - p)
 
 
 def test_structural_wiener_matches_bfs():
     for n in range(4, 13):
+        table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            for c in unicyclic_classes(EnumSpec(p, n - p)):
-                assert c.wiener == wiener_index(c.graph()), c.trees
+            for c in unicyclic_classes(EnumSpec(p, n - p), table):
+                assert c.wiener == wiener_index(table.graph(c.trees)), c.trees
 
 
 def test_carried_wiener_matches_leaf_formula():
@@ -196,7 +204,7 @@ def test_carried_wiener_matches_leaf_formula():
     for n in range(4, 14):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            for c in _search(p, n - p, table):
+            for c in unicyclic_classes(EnumSpec(p, n - p), table):
                 assert c.wiener == structural_wiener(table, c.trees), c.trees
 
 
@@ -211,8 +219,8 @@ def test_bracelet_code_of_a_relabeled_class_is_its_tree_ids():
     table = RootedTrees(9)
     for n in range(4, 13):
         for p in range(2, n // 2 + 1):
-            for c in _search(p, n - p, table):
-                g = c.graph()
+            for c in unicyclic_classes(EnumSpec(p, n - p), table):
+                g = table.graph(c.trees)
                 perm = list(range(g.n))
                 rng.shuffle(perm)
                 assert table.bracelet_code(g.relabel(perm)) == c.trees, c.trees

@@ -21,7 +21,7 @@ from wiener_unicyclic import (
 
 from wiener_unicyclic.enumeration import RootedTrees
 
-from oracles import floyd_warshall, structural_wiener, wiener_via_floyd_warshall
+from oracles import dfs_two_coloring, floyd_warshall, structural_wiener, wiener_via_floyd_warshall
 
 ROOTED_TREES = RootedTrees(6)
 
@@ -66,6 +66,19 @@ def test_bipartition_is_proper_when_it_exists(g):
     assert bp.p + bp.q == g.n
     for u, v in g.edges():
         assert (u in bp.part_p) != (v in bp.part_p)
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_bipartition_agrees_with_dfs_two_coloring(g, rnd):
+    # up to three extra edges reach graphs with several cycles, odd and even
+    for _ in range(rnd.randrange(4)):
+        u, v = rnd.randrange(g.n), rnd.randrange(g.n)
+        if u != v and not g.adj[u] >> v & 1:
+            g = g.with_edge(u, v)
+    bp, oracle = bipartition(g), dfs_two_coloring(g)
+    assert (bp is None) == (oracle is None)
+    if bp is not None:
+        assert bp.sizes == tuple(sorted(map(len, oracle)))
 
 
 @settings(max_examples=50)

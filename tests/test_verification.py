@@ -196,7 +196,9 @@ class TestExtremalTable:
         assert all(r.ok for r in rows.values())
         assert not any(r.polynomial_match for r in rows.values())
 
-    def test_builds_one_rooted_tree_table(self, monkeypatch):
+    @pytest.fixture
+    def table_sizes(self, monkeypatch):
+        """The ``max_size`` of every ``RootedTrees`` built while the test runs."""
         sizes = []
         build = RootedTrees.__init__
 
@@ -205,9 +207,18 @@ class TestExtremalTable:
             build(table, max_size)
 
         monkeypatch.setattr(RootedTrees, "__init__", counted)
+        return sizes
+
+    def test_builds_one_rooted_tree_table(self, table_sizes):
         rows = extremal_table(n_max=8)
         assert len(rows) == 9
-        assert sizes == [5]
+        assert table_sizes == [5]
+
+    def test_builds_no_table_when_no_pair_is_selected(self, table_sizes):
+        assert extremal_table(p_max=1, n_max=12) == []
+        with pytest.raises(ValueError, match="order 17 exceeds the canonical-form limit 16"):
+            extremal_table(p_max=1, n_max=17)
+        assert table_sizes == []
 
     def test_makes_no_canonical_form(self, monkeypatch):
         def refuse(*args):
