@@ -18,27 +18,28 @@ does any work, so an unwritable path exits 2 at once; a run that exits 2
 after that, on an unreadable input file or a malformed graph6 line,
 leaves the output file empty. A ``wiener`` run whose ``--output`` names
 its input file is a usage error, so the input is never truncated.
-Identical invocations produce byte-identical output.
+One writer frames every format. ``wiener`` decodes a file and stdin by one
+rule, UTF-8 with each invalid byte kept as a lone surrogate, so such a byte
+is a parse error, not a crash. Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .canon import CANONICAL_MAX_VERTICES, graph_from_canonical
 from .enumeration import EnumSpec, _canonical_classes
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
-from .verification import TableRow, extremal_table, lemma_harness, verify
+from .verification import extremal_table, lemma_harness, verify
 
 #: Seed used whenever --seed is not given.
 DEFAULT_SEED = 1
@@ -157,16 +158,32 @@ def _check(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
         )
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(
+    out: TextIO, fmt: str, records: list[dict], text: Callable[[dict], str], columns: list[str] | None = None
+) -> None:
+    """Print ``records`` as JSON lines, CSV, graph6 or one ``text(record)`` each.
+
+    The CSV header is ``columns``, by default the first record's keys, and a
+    missing value prints empty. Handlers build every record before the call,
+    so a run that fails part way writes nothing.
+    """
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        columns = columns or list(records[0])
+        writer.writerow(columns)
+        writer.writerows([r.get(c, "") for c in columns] for r in records)
+        return
+    if fmt == "json":
+        lines = [json.dumps(r, sort_keys=True) for r in records]
+    elif fmt == "graph6":
+        lines = [r["graph6"] for r in records]
+    else:
+        lines = [text(r) for r in records]
+    out.write("".join(s + "\n" for s in lines))
 
 
-def _json_lines(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "NO"
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +193,21 @@ def _json_lines(records: list[dict]) -> str:
 _WIENER_COLUMNS = ["line", "n", "edges", "wiener", "t_min", "t_max", "p", "q", "error"]
 
 
+def _wiener_text(r: dict) -> str:
+    if "error" in r:
+        return f"line={r['line']} error={r['error']}"
+    parts = "non-bipartite" if r["p"] is None else f"({r['p']},{r['q']})"
+    return (
+        f"line={r['line']} n={r['n']} edges={r['edges']} wiener={r['wiener']}"
+        f" t_min={r['t_min']} t_max={r['t_max']} parts={parts}"
+    )
+
+
 def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
-    if ns.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(ns.input) as fh:
-            lines = fh.read().splitlines()
+    # A byte that is not UTF-8 becomes a lone surrogate, which graph6_decode
+    # rejects like any non-ASCII character, at its byte offset.
+    with open(ns.input, "rb") if ns.input != "-" else nullcontext(sys.stdin.buffer) as fh:
+        lines = fh.read().decode("utf-8", "surrogateescape").splitlines()
     records: list[dict] = []
     for idx, line in enumerate(lines, start=1):
         if not line.strip():
@@ -196,36 +222,28 @@ def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
             ts = transmissions(g)
         except DisconnectedGraphError:
             rec["error"] = "disconnected"
-            records.append(rec)
-            continue
-        rec["wiener"] = sum(ts) // 2
-        rec["t_min"] = min(ts)
-        rec["t_max"] = max(ts)
-        bp = bipartition(g)
-        if bp is None:
-            rec["p"] = rec["q"] = None
         else:
-            rec["p"], rec["q"] = bp.sizes
-        records.append(rec)
-
-    if ns.fmt == "json":
-        out.write(_json_lines(records))
-    elif ns.fmt == "csv":
-        rows = [[r.get(c, "") for c in _WIENER_COLUMNS] for r in records]
-        out.write(_csv_text(_WIENER_COLUMNS, rows))
-    else:
-        lines = []
-        for r in records:
-            if "error" in r:
-                lines.append(f"line={r['line']} error={r['error']}")
+            rec["wiener"] = sum(ts) // 2
+            rec["t_min"] = min(ts)
+            rec["t_max"] = max(ts)
+            bp = bipartition(g)
+            if bp is None:
+                rec["p"] = rec["q"] = None
             else:
-                parts = "non-bipartite" if r["p"] is None else f"({r['p']},{r['q']})"
-                lines.append(
-                    f"line={r['line']} n={r['n']} edges={r['edges']} wiener={r['wiener']}"
-                    f" t_min={r['t_min']} t_max={r['t_max']} parts={parts}"
-                )
-        out.write("".join(s + "\n" for s in lines))
+                rec["p"], rec["q"] = bp.sizes
+        records.append(rec)
+    _write(out, ns.fmt, records, _wiener_text, _WIENER_COLUMNS)
     return 0
+
+
+def _onion_text(r: dict) -> str:
+    return (
+        f"onion k={r['k']} l={r['l']} m={r['m']} n={r['n']}\n"
+        f"graph6: {r['graph6']}\n"
+        f"wiener (closed form): {r['wiener']}\n"
+        f"transmission at pendant-cycle vertex: {r['t_v']}\n"
+        f"transmission at path end: {r['t_path_end']}"
+    )
 
 
 def cmd_onion(ns: argparse.Namespace, out: TextIO) -> int:
@@ -233,115 +251,85 @@ def cmd_onion(ns: argparse.Namespace, out: TextIO) -> int:
     g = build_onion(params)
     w = onion_wiener_closed_form(params)
     t_v, t_ul = onion_transmissions(params)
-    g6 = graph6_encode(g)
-    rec = dict(k=ns.k, l=ns.l, m=ns.m, n=g.n, graph6=g6, wiener=w, t_v=t_v, t_path_end=t_ul)
-    if ns.fmt == "graph6":
-        out.write(g6 + "\n")
-    elif ns.fmt == "json":
-        out.write(_json_lines([rec]))
-    elif ns.fmt == "csv":
-        out.write(_csv_text(list(rec), [list(rec.values())]))
-    else:
-        out.write(
-            f"onion k={ns.k} l={ns.l} m={ns.m} n={g.n}\n"
-            f"graph6: {g6}\n"
-            f"wiener (closed form): {w}\n"
-            f"transmission at pendant-cycle vertex: {t_v}\n"
-            f"transmission at path end: {t_ul}\n"
-        )
+    rec = dict(k=ns.k, l=ns.l, m=ns.m, n=g.n, graph6=graph6_encode(g), wiener=w, t_v=t_v, t_path_end=t_ul)
+    _write(out, ns.fmt, [rec], _onion_text)
     return 0
 
 
-def _verify_text(report) -> str:
+def _verify_text(r: dict) -> str:
     lines = [
-        f"verify {report.direction} p={report.p} q={report.q}",
-        f"  isomorphism classes: {report.classes}",
-        f"  optimum wiener: {report.optimum}",
-        f"  optimizers ({len(report.optimizers)}):",
+        f"verify {r['direction']} p={r['p']} q={r['q']}",
+        f"  isomorphism classes: {r['classes']}",
+        f"  optimum wiener: {r['optimum']}",
+        f"  optimizers ({len(r['optimizers'])}):",
+        *(f"    {w['graph6']}  canon={w['canon']}" for w in r["optimizers"]),
+        f"  predicted graph: {r['predicted_graph6']}",
+        f"  graph match: {_yn(r['graph_match'])}",
+        f"  predicted value: {r['predicted_value_closed_form']}",
+        f"  value match: {_yn(r['value_match'])}",
     ]
-    for wit in report.optimizers:
-        lines.append(f"    {wit.graph6}  canon={wit.canon.hex()}")
-    lines.append(f"  predicted graph: {report.predicted_graph6}")
-    lines.append(f"  graph match: {_yn(report.graph_match)}")
-    lines.append(f"  predicted value: {report.predicted_value_closed_form}")
-    lines.append(f"  value match: {_yn(report.value_match)}")
-    if report.direction == "max":
-        lines.append(f"  unique optimizer: {_yn(report.uniqueness)}")
-        if not report.polynomial_match:
+    if r["direction"] == "max":
+        lines.append(f"  unique optimizer: {_yn(r['uniqueness'])}")
+        if not r["polynomial_match"]:
             lines.append(
                 f"  WARNING: published polynomial gives "
-                f"{report.predicted_value_polynomial}, exhaustive optimum is "
-                f"{report.optimum} (reported only, never asserted)"
+                f"{r['predicted_value_polynomial']}, exhaustive optimum is "
+                f"{r['optimum']} (reported only, never asserted)"
             )
         else:
-            lines.append(f"  polynomial value: {report.predicted_value_polynomial} (matches)")
-    return "".join(s + "\n" for s in lines)
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "NO"
+            lines.append(f"  polynomial value: {r['predicted_value_polynomial']} (matches)")
+    return "\n".join(lines)
 
 
 def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
     report = verify(ns.p, ns.q, "min" if ns.min else "max")
-    if ns.fmt == "json":
-        out.write(_json_lines([report.as_record()]))
-    elif ns.fmt == "csv":
-        rec = report.as_record()
-        rec["optimizers"] = ";".join(w.graph6 for w in report.optimizers)
-        header = list(rec)
-        out.write(_csv_text(header, [[rec[c] for c in header]]))
-    else:
-        out.write(_verify_text(report))
+    rec = report.as_record()
+    if ns.fmt == "csv":
+        rec["optimizers"] = ";".join(w["graph6"] for w in rec["optimizers"])
+    _write(out, ns.fmt, [rec], _verify_text)
     return 0 if report.ok else 1
 
 
 def cmd_enumerate(ns: argparse.Namespace, out: TextIO) -> int:
     spec = EnumSpec(ns.p, ns.q)
-    classes = [(graph6_encode(graph_from_canonical(key)), w) for key, w in _canonical_classes(spec)]
-    if ns.fmt == "json":
-        out.write(_json_lines([{"graph6": g6, "n": spec.n, "wiener": w} for g6, w in classes]))
-    elif ns.fmt == "text":
-        out.write("".join(f"{g6} n={spec.n} wiener={w}\n" for g6, w in classes))
-    else:
-        out.write("".join(g6 + "\n" for g6, _ in classes))
+    records = [
+        {"graph6": graph6_encode(graph_from_canonical(key)), "n": spec.n, "wiener": w}
+        for key, w in _canonical_classes(spec)
+    ]
+    _write(out, ns.fmt, records, lambda r: f"{r['graph6']} n={r['n']} wiener={r['wiener']}")
     return 0
+
+
+def _table_text(r: dict) -> str:
+    line = (
+        f"p={r['p']} q={r['q']} classes={r['classes']} min={r['min_wiener']} max={r['max_wiener']}"
+        f" value_match={_yn(r['max_value_match'])} graph_match={_yn(r['max_graph_match'])}"
+        f" unique={_yn(r['max_unique'])} min_graph_match={_yn(r['min_graph_match'])}"
+    )
+    if not r["polynomial_match"]:
+        line += f" WARNING:polynomial={r['polynomial']}"
+    return line
 
 
 def cmd_table(ns: argparse.Namespace, out: TextIO) -> int:
     rows = extremal_table(ns.p_max, ns.n_max)
-    if ns.fmt == "json":
-        out.write(_json_lines([r.as_record() for r in rows]))
-    elif ns.fmt == "csv":
-        header = [f.name for f in fields(TableRow)]
-        out.write(_csv_text(header, [list(r.as_record().values()) for r in rows]))
-    else:
-        lines = []
-        for r in rows:
-            line = (
-                f"p={r.p} q={r.q} classes={r.classes} min={r.min_wiener} max={r.max_wiener}"
-                f" value_match={_yn(r.max_value_match)} graph_match={_yn(r.max_graph_match)}"
-                f" unique={_yn(r.max_unique)} min_graph_match={_yn(r.min_graph_match)}"
-            )
-            if not r.polynomial_match:
-                line += f" WARNING:polynomial={r.polynomial}"
-            lines.append(line)
-        out.write("".join(s + "\n" for s in lines))
+    _write(out, ns.fmt, [r.as_record() for r in rows], _table_text)
     return 0 if all(r.ok for r in rows) else 1
+
+
+def _harness_text(r: dict) -> str:
+    return (
+        f"harness seed={r['seed']} trials={r['trials']}\n"
+        f"  coalescence identity checked: {r['identity_checked']}\n"
+        f"  transplant monotonicity checked: {r['monotonicity_checked']}"
+        f" (skipped {r['monotonicity_skipped']} equal-transmission pairs)\n"
+        f"  {len(r['counterexamples'])} counterexamples"
+    )
 
 
 def cmd_harness(ns: argparse.Namespace, out: TextIO) -> int:
     report = lemma_harness(ns.seed, ns.trials)
-    if ns.fmt == "json":
-        out.write(_json_lines([report.as_record()]))
-    else:
-        out.write(
-            f"harness seed={report.seed} trials={report.trials}\n"
-            f"  coalescence identity checked: {report.identity_checked}\n"
-            f"  transplant monotonicity checked: {report.monotonicity_checked}"
-            f" (skipped {report.monotonicity_skipped} equal-transmission pairs)\n"
-            f"  {len(report.counterexamples)} counterexamples\n"
-        )
+    _write(out, ns.fmt, [report.as_record()], _harness_text)
     return 0 if report.ok else 1
 
 

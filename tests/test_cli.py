@@ -1,6 +1,7 @@
 """Command-line behaviour: records, exit codes, formats, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -44,6 +45,46 @@ def test_wiener_malformed_line_sets_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "wiener", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_wiener_non_utf8_byte_is_a_parse_error(capsys, tmp_path, monkeypatch, route):
+    data = b"Cl\n\xff\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    if route == "stdin":
+        # a strict decoder, as under PYTHONIOENCODING=utf-8
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    target = tmp_path / "out.txt"
+    argv = ["wiener", str(path) if route == "file" else "-", "--output", str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: character '\\udcff' outside graph6 range (byte offset 0)\n"
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "fmt, want", [("text", ""), ("json", ""), ("csv", "line,n,edges,wiener,t_min,t_max,p,q,error\n")]
+)
+def test_wiener_empty_input_prints_no_records(capsys, tmp_path, fmt, want):
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code, out, _ = run_cli(capsys, "wiener", str(path), "--format", fmt)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_wiener_malformed_line_leaves_the_output_file_empty(capsys, tmp_path, fmt):
+    path = tmp_path / "bad.g6"
+    path.write_text(graph6_encode(build_cycle(4)) + "\nC\n")
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, "wiener", str(path), "--format", fmt, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: ")
+    assert target.read_text() == ""
 
 
 def test_wiener_disconnected_is_per_line_error(capsys, tmp_path):
