@@ -206,6 +206,8 @@ def _wiener_text(r: dict) -> str:
 def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
     # A byte that is not UTF-8 becomes a lone surrogate, which graph6_decode
     # rejects like any non-ASCII character, at its byte offset.
+    if ns.input == "-" and sys.stdin is None:  # Python's stdin when descriptor 0 is closed
+        raise OSError("cannot read stdin: it is closed")
     with open(ns.input, "rb") if ns.input != "-" else nullcontext(sys.stdin.buffer) as fh:
         lines = fh.read().decode("utf-8", "surrogateescape").splitlines()
     records: list[dict] = []

@@ -7,11 +7,12 @@ predicted construction: the onion graph with its closed-form value on
 the max side, the two-pendant-cluster cycle on the min side. The
 published polynomial for the maximum is evaluated and reported but
 never asserted; it is known to disagree with the verified construction.
-``graph_match`` (the prediction is an optimizer) and ``uniqueness`` (one
-optimizer class) are decided on bracelet codes, with no canonical form:
-``extremal_table`` computes none, and a report computes only the ones it
-prints, ``canon`` and ``graph6`` of each optimizer and
-``predicted_canon``.
+One helper decides each side once, under ``ExtremalReport``'s field names:
+a report adds the canonical forms it prints, ``canon`` and ``graph6`` of
+each optimizer and ``predicted_canon``, and ``extremal_table`` maps both
+sides onto a ``TableRow`` and computes none. ``graph_match`` (the
+prediction is an optimizer) and ``uniqueness`` (one optimizer class) are
+decided on bracelet codes, with no canonical form.
 
 ``lemma_harness`` stress-tests the two coalescence facts everything
 else leans on: the exact Wiener decomposition of a one-vertex
@@ -24,7 +25,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterable
 
 from .canon import canonical_form, graph_from_canonical
 from .enumeration import EnumSpec, RootedTrees, UnicyclicClass, unicyclic_classes
@@ -98,94 +98,63 @@ class ExtremalReport:
         return _record(self)
 
 
-def _optimizer_witnesses(graphs: Iterable[Graph]) -> tuple[OptimizerWitness, ...]:
-    """Witnesses sorted by canonical form; graph6 of the canonically labeled graph."""
-    forms = sorted(canonical_form(g) for g in graphs)
-    return tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
-
-
-@dataclass(frozen=True)
-class _Summary:
-    """One side of the search for (p, q), decided without canonical forms.
-
-    ``graph_match`` holds when the predicted graph's bracelet code is the
-    tree ids of an optimizer class, and ``uniqueness`` when there is one
-    optimizer class; the bracelet code is a complete invariant of connected
-    unicyclic graphs, so both agree with a comparison of canonical forms.
-    """
-
-    optimum: int
-    optimizers: list[UnicyclicClass]
-    predicted: Graph
-    predicted_value: int
-    polynomial: int | None
-    graph_match: bool
-
-    @property
-    def uniqueness(self) -> bool:
-        return len(self.optimizers) == 1
-
-    @property
-    def value_match(self) -> bool:
-        return self.optimum == self.predicted_value
-
-    @property
-    def polynomial_match(self) -> bool | None:
-        return None if self.polynomial is None else self.optimum == self.polynomial
-
-
-def _summary(
+def _side(
     p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
-) -> _Summary:
+) -> tuple[dict, list[UnicyclicClass], Graph]:
     """The ``direction`` side ("max" or "min") over every class with parts (p, q).
 
-    The max side predicts the onion with its closed-form value and the
-    published polynomial, the min side the two-pendant-cluster cycle with
-    its Wiener index; only the side asked for is built.
+    Returns the side's ``ExtremalReport`` fields that need no canonical form,
+    under the report's own names, then the optimizer classes and the predicted
+    graph. The max side predicts the onion with its closed-form value and the
+    published polynomial, the min side the two-pendant-cluster cycle with its
+    Wiener index; only the side asked for is built. ``graph_match`` holds when
+    the predicted graph's bracelet code is the tree ids of an optimizer class,
+    and ``uniqueness`` when there is one optimizer class; the bracelet code is
+    a complete invariant of connected unicyclic graphs, so both agree with a
+    comparison of canonical forms.
     """
     if not classes:
         raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
     if direction == "max":
         optimum = max(c.wiener for c in classes)
         params = extremal_onion_params(p, q)
-        predicted, predicted_value = build_onion(params), onion_wiener_closed_form(params)
+        predicted, closed_form = build_onion(params), onion_wiener_closed_form(params)
         polynomial: int | None = theorem_polynomial(p, q)
     else:
         optimum = min(c.wiener for c in classes)
         predicted = build_min_extremal(p, q)
-        predicted_value, polynomial = wiener_index(predicted), None
+        closed_form, polynomial = wiener_index(predicted), None
     optimizers = [c for c in classes if c.wiener == optimum]
     code = table.bracelet_code(predicted)
-    return _Summary(
+    fields = dict(
+        p=p,
+        q=q,
+        direction=direction,
+        classes=len(classes),
         optimum=optimum,
-        optimizers=optimizers,
-        predicted=predicted,
-        predicted_value=predicted_value,
-        polynomial=polynomial,
+        predicted_value_closed_form=closed_form,
+        predicted_value_polynomial=polynomial,
+        value_match=optimum == closed_form,
         graph_match=any(c.trees == code for c in optimizers),
+        uniqueness=len(optimizers) == 1,
+        polynomial_match=None if polynomial is None else optimum == polynomial,
     )
+    return fields, optimizers, predicted
 
 
 def _report(
     p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
 ) -> ExtremalReport:
-    """The ``direction`` summary, with the canonical forms and graph6 it prints."""
-    side = _summary(p, q, direction, classes, table)
+    """The ``direction`` side's fields, with the canonical forms and graph6 it prints."""
+    fields, optimizers, predicted = _side(p, q, direction, classes, table)
+    # optimizers sorted by canonical form; graph6 of each canonically labeled graph
+    forms = sorted(canonical_form(table.graph(c.trees)) for c in optimizers)
+    witnesses = tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
     return ExtremalReport(
-        p=p,
-        q=q,
-        direction=direction,
-        classes=len(classes),
-        optimum=side.optimum,
-        optimizers=_optimizer_witnesses(table.graph(c.trees) for c in side.optimizers),
-        predicted_graph6=graph6_encode(side.predicted),
-        predicted_canon=canonical_form(side.predicted),
-        predicted_value_closed_form=side.predicted_value,
-        predicted_value_polynomial=side.polynomial,
-        value_match=side.value_match,
-        graph_match=side.graph_match,
-        uniqueness=side.uniqueness,
-        polynomial_match=side.polynomial_match,
+        **fields,
+        optimizers=witnesses,
+        predicted_graph6=graph6_encode(predicted),
+        predicted_canon=canonical_form(predicted),
     )
 
 
@@ -488,22 +457,22 @@ def extremal_table(p_max: int | None = None, n_max: int = 10) -> list[TableRow]:
     rows = []
     for spec in specs:
         classes = unicyclic_classes(spec, table)
-        mx = _summary(spec.p, spec.q, "max", classes, table)
-        mn = _summary(spec.p, spec.q, "min", classes, table)
+        mx, _, _ = _side(spec.p, spec.q, "max", classes, table)
+        mn, _, _ = _side(spec.p, spec.q, "min", classes, table)
         rows.append(
             TableRow(
                 p=spec.p,
                 q=spec.q,
-                classes=len(classes),
-                min_wiener=mn.optimum,
-                max_wiener=mx.optimum,
-                closed_form=mx.predicted_value,
-                polynomial=mx.polynomial,
-                max_value_match=mx.value_match,
-                max_graph_match=mx.graph_match,
-                max_unique=mx.uniqueness,
-                polynomial_match=mx.polynomial_match,
-                min_graph_match=mn.graph_match,
+                classes=mx["classes"],
+                min_wiener=mn["optimum"],
+                max_wiener=mx["optimum"],
+                closed_form=mx["predicted_value_closed_form"],
+                polynomial=mx["predicted_value_polynomial"],
+                max_value_match=mx["value_match"],
+                max_graph_match=mx["graph_match"],
+                max_unique=mx["uniqueness"],
+                polynomial_match=mx["polynomial_match"],
+                min_graph_match=mn["graph_match"],
             )
         )
     return rows

@@ -250,6 +250,14 @@ def test_missing_input_file_is_a_file_error(capsys, tmp_path):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_wiener_closed_stdin_is_a_file_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # what Python sets when descriptor 0 is closed
+    code, out, err = run_cli(capsys, "wiener", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "stdin" in err
+
+
 def test_unwritable_output_is_a_file_error(capsys, tmp_path):
     target = tmp_path / "missing" / "dir" / "x"
     code, out, err = run_cli(capsys, "onion", "1", "1", "1", "--output", str(target))

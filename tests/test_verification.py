@@ -237,10 +237,41 @@ class TestExtremalTable:
             extremal_table(n_max=17)
 
 
-def test_verify_both_shares_one_enumeration():
+def test_verify_both_shares_one_enumeration(monkeypatch):
+    calls = []
+    search = verification.unicyclic_classes
+
+    def counted(spec, table):
+        calls.append((spec.p, spec.q))
+        return search(spec, table)
+
+    monkeypatch.setattr(verification, "unicyclic_classes", counted)
     mx, mn = verify_both(3, 4)
     assert mx.classes == mn.classes == 8
     assert mx.direction == "max" and mn.direction == "min"
+    assert calls == [(3, 4)]
+    verify(3, 4, "max")
+    assert calls == [(3, 4)] * 2
+    calls.clear()
+    extremal_table(n_max=8)
+    assert len(calls) == 9 == len(set(calls))
+
+
+def test_table_rows_agree_with_the_reports():
+    rows = extremal_table(n_max=12)
+    assert len(rows) == 25
+    for row in rows:
+        mx, mn = verify_both(row.p, row.q)
+        assert row.classes == mx.classes == mn.classes
+        assert (row.max_wiener, row.min_wiener) == (mx.optimum, mn.optimum)
+        assert row.closed_form == mx.predicted_value_closed_form
+        assert row.polynomial == mx.predicted_value_polynomial
+        assert row.max_value_match == mx.value_match
+        assert row.max_graph_match == mx.graph_match
+        assert row.max_unique == mx.uniqueness
+        assert row.polynomial_match == mx.polynomial_match
+        assert row.min_graph_match == mn.graph_match
+        assert row.ok == (mx.ok and mn.ok)
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (3, 4), (4, 6)])
