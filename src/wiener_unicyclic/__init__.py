@@ -28,6 +28,7 @@ from .families import (
     build_star,
     coalesce,
     extremal_onion_params,
+    min_wiener_polynomial,
     onion_transmissions,
     onion_wiener_closed_form,
     theorem_polynomial,
@@ -104,6 +105,7 @@ __all__ = [
     "graph6_encode",
     "is_unicyclic",
     "lemma_harness",
+    "min_wiener_polynomial",
     "onion_transmissions",
     "onion_wiener_closed_form",
     "random_connected_graph",

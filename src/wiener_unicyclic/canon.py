@@ -122,6 +122,9 @@ def graph_from_canonical(form: bytes) -> Graph:
     ``ValueError`` on a form of the wrong length, of more than
     ``MAX_VERTICES`` vertices, or with a set padding bit (the high bits of
     the byte after the order), none of which ``canonical_form`` produces.
+    A well-formed form outside ``canonical_form``'s image decodes without
+    error, to a graph whose form differs: ``bytes([3, 0x02])`` decodes to a
+    one-edge graph whose form is ``0301``.
     """
     if not form:
         raise ValueError("empty canonical form")

@@ -40,10 +40,11 @@ bracelets directly and never compares two graphs:
   the rotations of the reversal that start with that bead are compared
   with it.
 * **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
-  unicyclic graph back to the tree ids the search emits for its class:
-  each hanging tree's id comes bottom up from its children's ids (Aho,
-  Hopcroft and Ullman, 1974), and the code is the least of the cycle's
-  2L rotations and reflections. Verification decides ``graph_match``
+  unicyclic graph back to the tree ids the search emits for its class.
+  The leaf peel that finds the cycle also yields the hanging trees, and
+  in peel order each vertex's id comes from its children's ids (Aho,
+  Hopcroft and Ullman, 1974); the code is the least of the cycle's 2L
+  rotations and reflections. Verification decides ``graph_match``
   and ``uniqueness`` on these codes, so ``canonical_form`` only fills the
   printed witness fields.
 
@@ -63,7 +64,7 @@ from typing import Iterator, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
 from .families import _check_part_sizes
-from .graphs import Graph, _bfs_layers, bits, cycle_vertices
+from .graphs import Graph, _peel_leaves, bits
 
 
 @dataclass(frozen=True)
@@ -169,24 +170,17 @@ class RootedTrees:
         labeling. Raises ``ValueError`` when ``g`` is not connected unicyclic
         or a hanging tree has more than ``max_size`` vertices.
         """
-        cycle = cycle_vertices(g)
-        adj, tree_id = g.adj, self.tree_id
-        # by distance from the cycle; g has no second cycle, so the children
-        # of a vertex are its neighbours in the next layer
-        layers = list(_bfs_layers(adj, sum(1 << v for v in cycle)))
-        if sum(layers) != (1 << g.n) - 1:
+        peeled, cycle, children = _peel_leaves(g)
+        if g.num_edges != g.n:  # g has one cycle, so any other component is a tree
             raise ValueError("graph is not connected")
-        tree, below = {}, 0  # tree[v]: the id of the subtree at v
-        for layer in reversed(layers):
-            for v in bits(layer):
-                kids = adj[v] & below
-                key = tuple(sorted([tree[c] for c in bits(kids)])) if kids else ()
-                if key not in tree_id:
-                    raise ValueError(
-                        f"a hanging tree has more than the table's {self.max_size} vertices"
-                    )
-                tree[v] = tree_id[key]
-            below = layer
+        tree_id, tree = self.tree_id, [0] * g.n  # tree[v]: the id of the subtree at v
+        for v in peeled + cycle:  # each vertex after its children
+            key = tuple(sorted([tree[c] for c in bits(children[v])]))
+            if key not in tree_id:
+                raise ValueError(
+                    f"a hanging tree has more than the table's {self.max_size} vertices"
+                )
+            tree[v] = tree_id[key]
         ids = [tree[v] for v in cycle]
         return min(tuple(s[k:] + s[:k]) for s in (ids, ids[::-1]) for k in range(len(ids)))
 

@@ -208,6 +208,22 @@ def build_min_extremal(p: int, q: int) -> Graph:
     return Graph.from_edges(p + q, edges)
 
 
+def min_wiener_polynomial(p: int, q: int) -> int:
+    """Wiener index of ``build_min_extremal(p, q)`` without building the graph.
+
+    W = p^2 + 3pq + q^2 - 3(p + q)
+
+    Derivation: the 4-cycle 0-1-2-3 carries a = p - 2 pendants at vertex 0
+    and b = q - 2 at vertex 1. Its own six pairs give 4 * 1 + 2 * 2 = 8. A
+    pendant of 0 is 1 from 0, 2 from 1 and 3, and 3 from 2, so 8 in all, and
+    likewise a pendant of 1. Two pendants of one vertex are 2 apart, and a
+    pendant of 0 is 3 from a pendant of 1. So
+    W = 8 + 8(a + b) + a(a - 1) + b(b - 1) + 3ab, which expands to the above.
+    """
+    _check_part_sizes(p, q)
+    return p * p + 3 * p * q + q * q - 3 * (p + q)
+
+
 def extremal_onion_params(p: int, q: int) -> OnionParams:
     """Onion parameters of the conjectured-maximal graph for part sizes (p, q)."""
     _check_part_sizes(p, q)

@@ -8,9 +8,10 @@ is the union of B_d(w) over v and its neighbours w, and the transmission
 is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
 per edge end. Distances from one vertex, or from a set of vertices, come
 from one bitmask BFS helper, which lists the vertices at each distance:
-it serves distance rows (and so one transmission), connectivity,
-bipartition and the trees that hang off the cycle of a unicyclic graph.
-``cycle_vertices`` peels leaves to find the cycle of a unicyclic graph.
+it serves distance rows (and so one transmission), connectivity and
+bipartition. One leaf peel reads a unicyclic graph: it yields the cycle,
+which ``cycle_vertices`` returns, and the trees hanging off it, as each
+vertex's children, which bracelet codes and the broom check read.
 Everything is a pure function; operations that would change a graph
 return a new one instead.
 """
@@ -160,14 +161,14 @@ class Bipartition:
         return (self.p, self.q)
 
 
-def _bfs_layers(adj: Sequence[int], starts: int, blocked: int = 0) -> Iterator[int]:
+def _bfs_layers(adj: Sequence[int], starts: int) -> Iterator[int]:
     """Yield the vertices at distance 0, 1, 2, ... from the set ``starts`` as bitmasks.
 
-    ``starts`` is a bitmask. Paths never enter a vertex of ``blocked``. The
-    layers are disjoint, so their sum is the set of vertices reached.
+    ``starts`` is a bitmask. The layers are disjoint, so their sum is the
+    set of vertices reached.
     """
     frontier = starts
-    seen = frontier | blocked
+    seen = frontier
     while frontier:
         yield frontier
         nxt = 0
@@ -272,40 +273,49 @@ def bipartition(g: Graph) -> Bipartition | None:
     return Bipartition(b, a)
 
 
+def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Peel leaves until one cycle is left: (peeled, cycle, children).
+
+    ``peeled`` lists the peeled vertices, each after its children, which are
+    the neighbours peeled before it, as the bitmask ``children[v]``. On a
+    connected unicyclic graph they make the trees hanging off the ``cycle``.
+    Raises ``ValueError`` when no cycle or more than one is left.
+    """
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    alive = (1 << g.n) - 1
+    children = [0] * g.n
+    # a vertex joins once: at degree <= 1, or when its degree drops from 2 to 1
+    peeled = [v for v in range(g.n) if deg[v] <= 1]
+    for v in peeled:
+        alive &= ~(1 << v)
+        for w in bits(adj[v] & alive):
+            children[w] |= 1 << v
+            deg[w] -= 1
+            if deg[w] == 1:
+                peeled.append(w)
+    if not alive:
+        raise ValueError("graph has no cycle")
+    if any((adj[v] & alive).bit_count() != 2 for v in bits(alive)):
+        raise ValueError("graph has more than one cycle")
+    cur = next(bits(alive))  # each step goes on to the smallest neighbour not walked yet
+    cycle, left = [cur], alive & ~(1 << cur)
+    while adj[cur] & left:
+        cur = next(bits(adj[cur] & left))
+        cycle.append(cur)
+        left &= ~(1 << cur)
+    if left:  # another cycle, in another component
+        raise ValueError("graph has more than one cycle")
+    return peeled, cycle, children
+
+
 def cycle_vertices(g: Graph) -> list[int]:
     """The unique cycle of a unicyclic graph, in cyclic order.
 
     Starts at the smallest cycle vertex and walks towards its smaller
     cycle neighbour, so the order is deterministic.
     """
-    deg = [a.bit_count() for a in g.adj]
-    alive = (1 << g.n) - 1
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        if not alive >> v & 1:
-            continue
-        alive &= ~(1 << v)
-        for w in bits(g.adj[v] & alive):
-            deg[w] -= 1
-            if deg[w] == 1:
-                stack.append(w)
-    if not alive:
-        raise ValueError("graph has no cycle")
-    if any((g.adj[v] & alive).bit_count() != 2 for v in bits(alive)):
-        raise ValueError("graph has more than one cycle")
-    start = next(bits(alive))
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = min(w for w in bits(g.adj[cur] & alive) if w != prev)
-        if nxt == start:
-            if len(order) != alive.bit_count():  # another cycle, in another component
-                raise ValueError("graph has more than one cycle")
-            return order
-        order.append(nxt)
-        prev, cur = cur, nxt
+    return _peel_leaves(g)[1]
 
 
 def is_unicyclic(g: Graph) -> bool:

@@ -3,7 +3,7 @@
 ``verify`` sweeps the full isomorphism-free enumeration for given part
 sizes once and returns the max or the min report, and ``verify_both``
 returns both from one sweep. Each compares the true optimum against a
-predicted construction: the onion graph with its closed-form value on
+predicted construction with its closed-form value: the onion graph on
 the max side, the two-pendant-cluster cycle on the min side. The
 published polynomial for the maximum is evaluated and reported but
 never asserted; it is known to disagree with the verified construction.
@@ -35,16 +35,16 @@ from .families import (
     build_path,
     coalesce,
     extremal_onion_params,
+    min_wiener_polynomial,
     onion_wiener_closed_form,
     theorem_polynomial,
 )
 from .graph6 import graph6_encode
 from .graphs import (
     Graph,
-    _bfs_layers,
+    _peel_leaves,
     bipartition,
     bits,
-    cycle_vertices,
     transmissions,
     wiener_index,
 )
@@ -106,8 +106,8 @@ def _side(
     Returns the side's ``ExtremalReport`` fields that need no canonical form,
     under the report's own names, then the optimizer classes and the predicted
     graph. The max side predicts the onion with its closed-form value and the
-    published polynomial, the min side the two-pendant-cluster cycle with its
-    Wiener index; only the side asked for is built. ``graph_match`` holds when
+    published polynomial, the min side the two-pendant-cluster cycle with
+    ``min_wiener_polynomial``; only the side asked for is built. ``graph_match`` holds when
     the predicted graph's bracelet code is the tree ids of an optimizer class,
     and ``uniqueness`` when there is one optimizer class; the bracelet code is
     a complete invariant of connected unicyclic graphs, so both agree with a
@@ -123,7 +123,7 @@ def _side(
     else:
         optimum = min(c.wiener for c in classes)
         predicted = build_min_extremal(p, q)
-        closed_form, polynomial = wiener_index(predicted), None
+        closed_form, polynomial = min_wiener_polynomial(p, q), None
     optimizers = [c for c in classes if c.wiener == optimum]
     code = table.bracelet_code(predicted)
     fields = dict(
@@ -212,39 +212,28 @@ class StructuralCheck:
         return all(checks)
 
 
-def _is_broom_rooted(g: Graph, root: int, cycle_mask: int) -> bool:
-    """Whether the tree hanging off cycle vertex ``root`` is a broom.
+def _is_broom_rooted(children: list[int], root: int) -> bool:
+    """Whether the tree of ``children`` masks hanging at ``root`` is a broom.
 
     Broom = path from the root with branching confined to its far end.
     """
-    tree_mask = sum(_bfs_layers(g.adj, 1 << root, cycle_mask & ~(1 << root)))
-    prev = -1
     cur = root
-    while True:
-        nbrs = [w for w in bits(g.adj[cur] & tree_mask) if w != prev]
-        if not nbrs:
-            return True
-        if len(nbrs) == 1:
-            prev, cur = cur, nbrs[0]
-            continue
-        return all((g.adj[w] & tree_mask).bit_count() == 1 for w in nbrs)
+    while children[cur].bit_count() == 1:
+        cur = children[cur].bit_length() - 1
+    return not any(children[w] for w in bits(children[cur]))
 
 
 def structural_checks(g: Graph) -> StructuralCheck:
     """Check one maximizer against the expected extremal structure."""
-    cyc = cycle_vertices(g)
+    _, cyc, children = _peel_leaves(g)
     cycle_ok = len(cyc) == 4
     antipodal_ok = False
     brooms_ok = False
     if cycle_ok:
         c0, c1, c2, c3 = cyc
-        antipodal_ok = (g.degree(c0) == 2 and g.degree(c2) == 2) or (
-            g.degree(c1) == 2 and g.degree(c3) == 2
-        )
-        cycle_mask = 0
-        for c in cyc:
-            cycle_mask |= 1 << c
-        brooms_ok = all(_is_broom_rooted(g, c, cycle_mask) for c in cyc)
+        # a cycle vertex has degree 2 when no tree hangs off it
+        antipodal_ok = not (children[c0] | children[c2]) or not (children[c1] | children[c3])
+        brooms_ok = all(_is_broom_rooted(children, c) for c in cyc)
     bp = bipartition(g)
     pendant_ok: bool | None = None
     if bp is not None and bp.p < bp.q:

@@ -236,8 +236,16 @@ def test_bracelet_code_of_a_relabeled_class_is_its_tree_ids():
         ),
         (Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]), "not connected"),
         (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), "not connected"),
+        # the path is a tree larger than the table, but connectivity is decided first
+        (
+            Graph.from_edges(
+                10,
+                [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)],
+            ),
+            "not connected",
+        ),
     ],
-    ids=["tree", "two-cycles", "extra-edge", "isolated-vertex"],
+    ids=["tree", "two-cycles", "extra-edge", "isolated-vertex", "long-path-apart"],
 )
 def test_bracelet_code_rejects_graphs_that_are_not_connected_unicyclic(g, message):
     with pytest.raises(ValueError, match=message):

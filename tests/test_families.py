@@ -19,6 +19,7 @@ from wiener_unicyclic import (
     coalesce,
     extremal_onion_params,
     is_unicyclic,
+    min_wiener_polynomial,
     onion_transmissions,
     onion_wiener_closed_form,
     random_connected_graph,
@@ -230,6 +231,21 @@ class TestMinExtremal:
             build_min_extremal(1, 5)
         with pytest.raises(ValueError):
             build_min_extremal(4, 3)
+
+    def test_closed_form_matches_bfs_up_to_sixty_four_vertices(self):
+        pairs = [(p, q) for p in range(2, 33) for q in range(p, 65 - p)]
+        assert len(pairs) == 961
+        for p, q in pairs:
+            assert min_wiener_polynomial(p, q) == wiener_index(build_min_extremal(p, q)), (p, q)
+
+    def test_closed_form_known_values_and_invalid(self):
+        # C_4, and the (2, 5) oracle value above
+        assert min_wiener_polynomial(2, 2) == 8
+        assert min_wiener_polynomial(2, 5) == 38
+        with pytest.raises(ValueError):
+            min_wiener_polynomial(1, 5)
+        with pytest.raises(ValueError):
+            min_wiener_polynomial(4, 3)
 
 
 class TestExtremalParams:

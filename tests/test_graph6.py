@@ -13,6 +13,7 @@ from wiener_unicyclic import (
     graph6_decode,
     graph6_encode,
     random_connected_graph,
+    write_graph6_file,
 )
 
 
@@ -102,3 +103,33 @@ def test_invalid_character_offset():
 def test_empty_line_rejected():
     with pytest.raises(Graph6ParseError):
         graph6_decode("")
+
+
+@pytest.mark.parametrize(
+    "line, message, offset",
+    [
+        ("~?", "truncated extended size field", 2),
+        ("~~??????", "36-bit graph6 sizes unsupported", 1),
+        ("~?@@", "graph order 65 exceeds supported 64", 0),
+    ],
+    ids=["truncated-size", "36-bit-size", "order-65"],
+)
+def test_extended_size_field_errors(line, message, offset):
+    with pytest.raises(Graph6ParseError, match=message) as exc:
+        graph6_decode(line)
+    assert exc.value.offset == offset
+
+
+def test_write_graph6_file_round_trips(tmp_path):
+    graphs = [build_cycle(4), build_path(1), build_path(7), random_connected_graph(random.Random(5))]
+    path = tmp_path / "out.g6"
+    assert write_graph6_file(str(path), graphs) == len(graphs)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(graphs)
+    assert [graph6_decode(line) for line in lines] == graphs
+
+
+def test_write_graph6_file_empty(tmp_path):
+    path = tmp_path / "empty.g6"
+    assert write_graph6_file(str(path), iter(())) == 0
+    assert path.read_text() == ""

@@ -155,6 +155,26 @@ class TestStructuralChecks:
         assert c.cycle_length_four
         assert not c.attached_trees_are_brooms
 
+    def test_long_handle_ending_in_pendants_is_broom(self):
+        # 4-cycle, handle 0-4-5-6 at vertex 0, three pendants 7, 8, 9 at its end
+        g = Graph.from_edges(
+            10,
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (6, 8), (6, 9)],
+        )
+        c = structural_checks(g)
+        assert c.cycle_length_four and c.antipodal_degree_two
+        assert c.attached_trees_are_brooms
+
+    def test_handle_forking_into_leaf_and_longer_leg_is_not_broom(self):
+        # handle 0-4-5 at vertex 0 forks at 5 into the leaf 6 and the leg 7-8
+        g = Graph.from_edges(
+            9,
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (5, 7), (7, 8)],
+        )
+        c = structural_checks(g)
+        assert c.cycle_length_four and c.antipodal_degree_two
+        assert not c.attached_trees_are_brooms
+
 
 class TestLemmaHarness:
     def test_small_run_is_clean(self):
