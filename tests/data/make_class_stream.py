@@ -1,15 +1,17 @@
-"""Write the class-stream record for orders 15 and 16, one entry per (p, q).
+"""Write the class-stream record for orders 13 to 16, one entry per (p, q).
 
 Each entry holds the number of classes ``unicyclic_classes`` yields for
 (p, q) and the SHA-256 of the stream itself: one line ``W id id ...`` per
 class, in stream order. Tree ids are those of ``RootedTrees(p + q - 3)``.
 The ledger (``verified_n14.jsonl``) stops at p + q = 14 and pins class
 sets, not their order; this record pins the order, the tree ids and the
-Wiener indices of the two largest orders the canonical-form guard
-allows. It was written from the search before the colour-bound pruning
-and changes only with a stated reason. Run from the repository root::
+Wiener indices of the four largest orders the canonical-form guard
+allows. The entries of orders 15 and 16 were written from the search
+before the colour-bound pruning, those of orders 13 and 14 from the
+search before the penultimate bead closed each bracelet itself; the
+record changes only with a stated reason. Run from the repository root::
 
-    PYTHONPATH=src python3 tests/data/make_class_stream.py > tests/data/class_stream_n15_16.json
+    PYTHONPATH=src python3 tests/data/make_class_stream.py > tests/data/class_stream_n13_16.json
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 from wiener_unicyclic import EnumSpec, unicyclic_classes
 
-ORDERS = (15, 16)
+ORDERS = (13, 14, 15, 16)
 
 
 def stream_record(p: int, q: int) -> dict:

@@ -314,7 +314,7 @@ def test_graph_match_agrees_with_canonical_forms(n):
 def test_verify_both_reaches_order_fifteen():
     mx, mn = verify_both(7, 8)
     assert mx.ok and mn.ok
-    assert mx.classes == 25102  # data/class_stream_n15_16.json
+    assert mx.classes == 25102  # data/class_stream_n13_16.json
 
 
 @pytest.mark.parametrize(
