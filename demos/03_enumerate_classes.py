@@ -2,9 +2,11 @@
 
 For part sizes (3, 4) there are exactly eight isomorphism classes of
 connected unicyclic bipartite graphs. We list them with their Wiener
-indices and dump the stream to a graph6 file, one line per class.
+indices and dump the stream to a graph6 file, one line per class, in a
+temporary directory that is removed afterwards.
 """
 
+import os
 import tempfile
 
 from wiener_unicyclic import (
@@ -24,10 +26,12 @@ print("graph6      W   cycle length")
 for g in enumerate_unicyclic_bipartite(spec):
     print(f"{graph6_encode(g):10s} {wiener_index(g):3d}   {len(cycle_vertices(g))}")
 
-with tempfile.NamedTemporaryFile(suffix=".g6", delete=False) as fh:
-    path = fh.name
-lines = write_graph6_file(path, enumerate_unicyclic_bipartite(spec))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "classes_3_4.g6")
+    lines = write_graph6_file(path, enumerate_unicyclic_bipartite(spec))
+    with open(path) as fh:
+        first = fh.readline().strip()
 print()
-print(f"wrote {lines} graph6 lines to {path}")
+print(f"wrote {lines} graph6 lines to a temporary file, the first {first}")
 print("the same stream is available from the command line:")
 print("  wiener-unicyclic enumerate 3 4")

@@ -20,7 +20,12 @@ bracelets directly and never compares two graphs:
   every rotation of their reversal leaves one sequence per bracelet
   (Sawada, "Generating bracelets in constant amortized time", 2001).
   Colouring cycle vertex 0 fixes both colour classes; the last bead is
-  only drawn from trees that make them {p, q}.
+  only drawn from trees that make them {p, q}. Position L - 1 places
+  the last two beads, so the last bead's size is fixed; every bead at
+  L - 1 but one makes the period L - 1, so the last bead must exceed
+  the first. So the ids at L - 1 of one odd-depth count share one id
+  range of last beads per target, and a count whose ranges are all
+  empty is never visited.
 * **Colour bound.** Every bead at an odd cycle position (counting from 1)
   adds between 1 (its root) and its size to the colour count of cycle
   vertex 0, every bead at an even position between 0 and its size - 1.
@@ -31,14 +36,12 @@ bracelets directly and never compares two graphs:
   squared non-root subtree sizes of the tree at cycle vertex i,
   W = n * sum(D_i) - sum(Q_i) + sum over i < j of s_i * s_j * d_C(i, j),
   where d_C is the distance along the cycle. No BFS is needed, and no
-  sum at the leaf: W is carried down the recursion. The sum of
-  s_i * d_C(i, t) over the beads before position t depends only on
-  their sizes, so it is taken once per size placed at t - 1, and a bead
-  of size s placed at t adds s times that plus its own n * D - Q. So a
-  leaf costs O(L): a sequence that is not a necklace is dropped before
-  it is built, and since a necklace starts with its least bead, only
-  the rotations of the reversal that start with that bead are compared
-  with it.
+  sum at the leaf: W is carried down the recursion. A bead of size s at
+  t adds its n * D - Q and s times its pull, the sum of s_i * d_C(i, t)
+  over the beads before it; the pull at t + 1 is one sum per call plus
+  s. Only a sequence drawn from a last-bead range is built, and only the
+  rotations of its reversal that start with its first (least) bead,
+  found by ``tuple.index``, are compared with it.
 * **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
   unicyclic graph back to the tree ids the search emits for its class.
   The leaf peel that finds the cycle also yields the hanging trees, and
@@ -221,10 +224,10 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
     out: list[UnicyclicClass] = []
 
     for length in range(4, n + 1, 2):
-        a = [0] * (length + 1)  # a[1..length]; a[0] is the recursion's sentinel
-        sizes = [0] * (length + 1)  # sizes[t] = size[a[t]]
+        a = [0] * length  # a[1..length - 1]; a[0] is the recursion's sentinel
+        sizes = [0] * length  # sizes[t] = size[a[t]]
         # d_C(length - 1), ..., d_C(1): the last t entries, zipped with
-        # sizes[1:t + 1], pair position i with its distance d_C(t + 1 - i) to t + 1
+        # sizes[1:t], pair position i < t with its distance d_C(t + 1 - i) to t + 1
         hops = [min(k, length - k) for k in range(length - 1, 0, -1)]
 
         def extend(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
@@ -233,27 +236,6 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             # pairs, and pull sums s_i * d_C(t - i) over them
             low = a[t - period]
             rest = n - used
-            if t == length:
-                # the last bead is of size rest, and its root has cycle vertex
-                # 0's colour on its odd levels
-                b = bounds[rest]
-                w += rest * pull
-                for x in targets:
-                    first_id = b[x - colour]
-                    for j in range(low if low > first_id else first_id, b[x - colour + 1]):
-                        if length % (period if j == low else t):
-                            continue  # not the least of its rotations
-                        a[t] = j
-                        seq = tuple(a[1:])
-                        # seq is a necklace, so seq[0] is its least bead and only a
-                        # rotation of the reversal that starts with seq[0] can be less
-                        first, rev = seq[0], seq[::-1]
-                        for k in range(length):
-                            if rev[k] == first and rev[k:] + rev[:k] < seq:
-                                break
-                        else:
-                            out.append(UnicyclicClass(w + base[j], seq))
-                return
             # every later bead is at least a[1], so at least as large
             smallest = size[a[1]] if t > 1 else 0
             most = (rest // length) if t == 1 else rest - (length - t) * smallest
@@ -265,25 +247,58 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             floor = colour + length - t - k_even
             ceil = colour + rest - k_even
             flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
+            reach = sum(map(mul, sizes[1:t], hops[length - t - 1 :]))  # the pull at t + 1, less s
+            step = extend if t < length - 2 else close
             for s in range(size[low], (most if most < n - 3 else n - 3) + 1):
                 b, start = bounds[s], low
                 sizes[t] = s
                 w_s = w + s * pull
-                pull_next = sum(map(mul, sizes[1 : t + 1], hops[length - t - 1 :]))
                 # odd-count windows, ascending; start skips where they overlap
                 for x in (reversed(targets) if flip else targets):
                     lo, hi = (s + floor - x, ceil - x) if flip else (x - ceil + s, x - floor)
                     first_id, stop = b[lo], b[hi + 1]
                     for j in range(start if start > first_id else first_id, stop):
                         a[t] = j
-                        extend(
+                        step(
                             t + 1,
                             period if j == low else t,
                             used + s,
                             colour + (s - odd[j] if flip else odd[j]),
                             w_s + base[j],
-                            pull_next,
+                            reach + s,
                         )
+                    if stop > start:
+                        start = stop
+
+        def close(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
+            # t = length - 1 places the last two beads: j of size s here, and
+            # one of size r = rest - s with y - c odd-depth vertices for target
+            # y, where c = colour + s - odd[j]. Any j but low makes the period
+            # t, which never divides length, so its last bead exceeds a[1].
+            low, rest, head = a[t - period], n - used, tuple(a[1:t])
+            reach = sum(map(mul, sizes[1:t], hops))  # the pull at length, less s
+            for s in range(size[low], rest - size[a[1]] + 1):
+                r = rest - s
+                b, last, start = bounds[s], bounds[r], low
+                w_s = w + s * pull + r * (reach + s)
+                if s == size[low]:  # low keeps the period, and FKM's bound on the last bead
+                    a[t], start = low, low + 1  # a period of 1 reads a[t]
+                    above, c = a[length - period] + (length % period > 0), colour + s - odd[low]
+                    if above < last[r]:
+                        spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
+                        _close(head, (low,), spans, w_s, base, out)
+                # for target x, the j whose last bead's x - c runs from kmin, the
+                # odd count of the least last bead above a[1], to r - 1
+                above = a[1] + 1 if a[1] >= last[0] else last[0]
+                kmin = odd[above] if above < last[r] else r
+                for x in reversed(targets):  # ascending, start skips the overlap
+                    first_id, stop = b[s + colour - x + kmin], b[colour + rest - x]
+                    j = start if start > first_id else first_id
+                    while j < stop:
+                        c, end = colour + s - odd[j], b[odd[j] + 1]
+                        spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
+                        _close(head, range(j, end), spans, w_s, base, out)
+                        j = end
                     if stop > start:
                         start = stop
 
@@ -292,6 +307,30 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
         # cycle, which would keep out alive until a gc pass
         del extend
     return out
+
+
+def _close(
+    head: tuple[int, ...], beads: Sequence[int], spans: list[range],
+    w: int, base: list[int], out: list[UnicyclicClass],
+) -> None:
+    """Append the bracelets head + (j, k), j in ``beads`` and k in each span.
+
+    W is w + base[j] + base[k]. Each is a necklace, so only a rotation of
+    its reversal that starts with head[0], its least bead, can be less.
+    """
+    first, back, last = head[0], head[::-1], len(head) + 1
+    for j in beads:
+        prefix, back_j, w_j = head + (j,), (j,) + back, w + base[j]
+        for span in spans:
+            for k in span:
+                seq, rev = prefix + (k,), (k,) + back_j
+                i = -1
+                while i < last:  # each rotation of rev that starts with head[0]
+                    i = rev.index(first, i + 1)
+                    if rev[i:] + rev[:i] < seq:
+                        break
+                else:
+                    out.append(UnicyclicClass(w_j + base[k], seq))
 
 
 def _canonical_classes(spec: EnumSpec) -> list[tuple[bytes, int]]:

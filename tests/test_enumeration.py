@@ -147,8 +147,9 @@ def test_odd_count_bounds_read_as_clamped():
 
 
 def test_class_stream_is_every_bracelet_in_order():
-    # the pruned search against a brute-force bracelet list over the same ids
-    for n in range(4, 12):
+    # the pruned search against a brute-force bracelet list over the same ids,
+    # at every pair a table run up to p + q = 12 searches
+    for n in range(4, 13):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
             mine = [c.trees for c in unicyclic_classes(EnumSpec(p, n - p))]
