@@ -286,7 +286,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     above, c = a[length - period] + (length % period > 0), colour + s - odd[low]
                     if above < last[r]:
                         spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
-                        _close(head, (low,), spans, w_s, base, out)
+                        _append_bracelets(head, (low,), spans, w_s, base, out)
                 # for target x, the j whose last bead's x - c runs from kmin, the
                 # odd count of the least last bead above a[1], to r - 1
                 above = a[1] + 1 if a[1] >= last[0] else last[0]
@@ -297,7 +297,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     while j < stop:
                         c, end = colour + s - odd[j], b[odd[j] + 1]
                         spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
-                        _close(head, range(j, end), spans, w_s, base, out)
+                        _append_bracelets(head, range(j, end), spans, w_s, base, out)
                         j = end
                     if stop > start:
                         start = stop
@@ -309,7 +309,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
     return out
 
 
-def _close(
+def _append_bracelets(
     head: tuple[int, ...], beads: Sequence[int], spans: list[range],
     w: int, base: list[int], out: list[UnicyclicClass],
 ) -> None:
