@@ -4,8 +4,9 @@
 they are isomorphic. It takes the minimum adjacency encoding over the
 leaves of an individualization-refinement search tree:
 
-* start from the degree partition and refine it to an equitable one
-  (vertices in a cell agree on their neighbour counts into every cell);
+* refine the unit partition to an equitable one (vertices in a cell
+  agree on their neighbour counts into every cell); the first pass
+  splits the single cell by degree, in ascending order;
 * while some cell has several vertices, split the first such cell on
   each of its vertices in turn and recurse;
 * at a discrete partition, read off the upper-triangle adjacency bits
@@ -69,12 +70,6 @@ def canonical_form(g: Graph) -> bytes:
         return bytes([n])
     adj = g.adj
 
-    by_degree: dict[int, int] = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | (1 << v)
-    initial = [by_degree[d] for d in sorted(by_degree)]
-
     nbits = n * (n - 1) // 2
     best: int | None = None
 
@@ -108,7 +103,7 @@ def canonical_form(g: Graph) -> bytes:
             split = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :]
             search(_refine(adj, split))
 
-    search(_refine(adj, initial))
+    search(_refine(adj, [(1 << n) - 1]))
     assert best is not None
     return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
 

@@ -236,7 +236,8 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             # pairs, and pull sums s_i * d_C(t - i) over them
             low = a[t - period]
             rest = n - used
-            # every later bead is at least a[1], so at least as large
+            # every later bead is at least a[1], so at least as large; hence
+            # most <= n - (length - 1) * size[a[1]] <= n - 3, the table's reach
             smallest = size[a[1]] if t > 1 else 0
             most = (rest // length) if t == 1 else rest - (length - t) * smallest
             # Colour bound: beads t+1..length add to colour at least one root
@@ -249,7 +250,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
             reach = sum(map(mul, sizes[1:t], hops[length - t - 1 :]))  # the pull at t + 1, less s
             step = extend if t < length - 2 else close
-            for s in range(size[low], (most if most < n - 3 else n - 3) + 1):
+            for s in range(size[low], most + 1):
                 b, start = bounds[s], low
                 sizes[t] = s
                 w_s = w + s * pull

@@ -1,8 +1,10 @@
 """graph6 text format: one undirected simple graph per line.
 
 Implements the standard encoding (size bytes, then the upper triangle of
-the adjacency matrix in column order, six bits per printable character).
-The optional ``>>graph6<<`` header is accepted on decode and never
+the adjacency matrix in column order, six bits per printable character,
+high bit first). Decode walks the triangle in the order encode writes it
+(columns j = 1 .. n - 1, rows i < j) and never reads the padding bits of
+the last character. The optional ``>>graph6<<`` header is accepted on decode and never
 written. Parse failures raise :class:`Graph6ParseError` carrying the
 byte offset of the offending character within the given line.
 """
@@ -88,26 +90,18 @@ def graph6_decode(line: str) -> Graph:
         raise Graph6ParseError("trailing characters after graph6 body", base + body_at + need)
 
     adj = [0] * n
-    bit = 0
-    for idx in range(need):
-        group = vals[body_at + idx]
-        for b in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if group >> b & 1:
-                i, j = _pair_at(bit)
+    at = body_at - 1
+    left = 0  # bits of vals[at] not yet read; the padding bits stay unread
+    for j in range(1, n):
+        for i in range(j):
+            if not left:
+                at += 1
+                left = 6
+            left -= 1
+            if vals[at] >> left & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit += 1
     return Graph(n, tuple(adj))
-
-
-def _pair_at(bit: int) -> tuple[int, int]:
-    # bits run x(0,1), x(0,2), x(1,2), x(0,3), ... : column j starts at j(j-1)/2
-    j = 1
-    while (j + 1) * j // 2 <= bit:
-        j += 1
-    return bit - j * (j - 1) // 2, j
 
 
 def write_graph6_file(path: str, graphs) -> int:

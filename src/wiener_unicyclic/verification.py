@@ -428,6 +428,7 @@ class TableRow:
             and self.max_graph_match
             and self.max_unique
             and self.min_graph_match
+            and self.min_wiener == min_wiener_polynomial(self.p, self.q)
         )
 
     def as_record(self) -> dict:

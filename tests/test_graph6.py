@@ -63,6 +63,28 @@ def test_decode_matches_networkx_at_largest_orders(n):
     assert g.edges() == sorted(tuple(sorted(e)) for e in H.edges())
 
 
+@pytest.mark.parametrize("n", range(65))
+def test_decode_at_every_order(n):
+    # every size form and every count of padding bits, from empty to complete
+    rng = random.Random(n)
+    for density in (0, 0.1, 0.5, 0.9, 1):
+        pairs = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < density]
+        g = Graph.from_edges(n, pairs)
+        line = graph6_encode(g)
+        assert graph6_decode(line) == g
+        H = nx.from_graph6_bytes(line.encode())
+        assert H.number_of_nodes() == n
+        assert g.edges() == sorted(tuple(sorted(e)) for e in H.edges())
+
+
+def test_padding_bits_are_ignored():
+    # one bit of body, five of padding: set padding decodes as in networkx
+    for line in ("A_", "A`"):
+        assert graph6_decode(line).edges() == [(0, 1)]
+        assert list(nx.from_graph6_bytes(line.encode()).edges()) == [(0, 1)]
+    assert graph6_decode("A@").edges() == []
+
+
 def test_decode_networkx_output():
     rng = random.Random(5)
     for _ in range(100):

@@ -1,5 +1,7 @@
 """Extremal reports, structural consequences, lemma harness, table."""
 
+import dataclasses
+
 import pytest
 
 from wiener_unicyclic import (
@@ -215,6 +217,15 @@ class TestExtremalTable:
         assert rows[(3, 4)].max_wiener == rows[(3, 4)].closed_form == 48
         assert all(r.ok for r in rows.values())
         assert not any(r.polynomial_match for r in rows.values())
+
+    def test_row_is_not_ok_when_the_min_value_is_off(self):
+        # the min side's value is asserted as verify --min asserts it, not
+        # only its graph
+        row = next(r for r in extremal_table(n_max=7) if (r.p, r.q) == (3, 4))
+        assert row.ok and row.min_graph_match
+        off = dataclasses.replace(row, min_wiener=row.min_wiener + 1)
+        assert off.min_graph_match
+        assert not off.ok
 
     @pytest.fixture
     def table_sizes(self, monkeypatch):
