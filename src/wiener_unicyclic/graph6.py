@@ -2,11 +2,12 @@
 
 Implements the standard encoding (size bytes, then the upper triangle of
 the adjacency matrix in column order, six bits per printable character,
-high bit first). Decode walks the triangle in the order encode writes it
-(columns j = 1 .. n - 1, rows i < j) and never reads the padding bits of
-the last character. The optional ``>>graph6<<`` header is accepted on decode and never
-written. Parse failures raise :class:`Graph6ParseError` carrying the
-byte offset of the offending character within the given line.
+high bit first). Decode walks the triangle in the order encode writes
+it (columns j = 1 .. n - 1, rows i < j) and never reads the padding
+bits of the last character. The optional ``>>graph6<<`` header is
+accepted on decode and never written. Parse failures raise
+:class:`Graph6ParseError` carrying the byte offset of the offending
+character within the given line.
 """
 
 from __future__ import annotations
