@@ -1,9 +1,9 @@
 """Isomorphism-free enumeration of unicyclic bipartite graphs.
 
 For part sizes (3, 4) there are exactly eight isomorphism classes of
-connected unicyclic bipartite graphs. We list them with their Wiener
-indices and dump the stream to a graph6 file, one line per class, in a
-temporary directory that is removed afterwards.
+connected unicyclic bipartite graphs. We list them with the Wiener
+index the stream carries for each, and dump the graphs to a graph6 file,
+one line per class, in a temporary directory that is removed afterwards.
 """
 
 import os
@@ -15,7 +15,6 @@ from wiener_unicyclic import (
     cycle_vertices,
     enumerate_unicyclic_bipartite,
     graph6_encode,
-    wiener_index,
     write_graph6_file,
 )
 
@@ -23,12 +22,12 @@ spec = EnumSpec(3, 4)
 print(f"classes with part sizes (3,4): {count_classes(spec)}")
 print()
 print("graph6      W   cycle length")
-for g in enumerate_unicyclic_bipartite(spec):
-    print(f"{graph6_encode(g):10s} {wiener_index(g):3d}   {len(cycle_vertices(g))}")
+for g, w in enumerate_unicyclic_bipartite(spec):
+    print(f"{graph6_encode(g):10s} {w:3d}   {len(cycle_vertices(g))}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "classes_3_4.g6")
-    lines = write_graph6_file(path, enumerate_unicyclic_bipartite(spec))
+    lines = write_graph6_file(path, (g for g, _ in enumerate_unicyclic_bipartite(spec)))
     with open(path) as fh:
         first = fh.readline().strip()
 print()

@@ -34,8 +34,8 @@ import sys
 from contextlib import nullcontext
 from typing import Callable, TextIO
 
-from .canon import CANONICAL_MAX_VERTICES, graph_from_canonical
-from .enumeration import EnumSpec, _canonical_classes
+from .canon import CANONICAL_MAX_VERTICES
+from .enumeration import EnumSpec, enumerate_unicyclic_bipartite
 from .families import OnionParams, build_onion, onion_transmissions, onion_wiener_closed_form
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import MAX_VERTICES, DisconnectedGraphError, bipartition, transmissions
@@ -295,8 +295,8 @@ def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
 def cmd_enumerate(ns: argparse.Namespace, out: TextIO) -> int:
     spec = EnumSpec(ns.p, ns.q)
     records = [
-        {"graph6": graph6_encode(graph_from_canonical(key)), "n": spec.n, "wiener": w}
-        for key, w in _canonical_classes(spec)
+        {"graph6": graph6_encode(g), "n": spec.n, "wiener": w}
+        for g, w in enumerate_unicyclic_bipartite(spec)
     ]
     _write(out, ns.fmt, records, lambda r: f"{r['graph6']} n={r['n']} wiener={r['wiener']}")
     return 0

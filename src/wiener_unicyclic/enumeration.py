@@ -334,21 +334,17 @@ def _append_bracelets(
                     out.append(UnicyclicClass(w_j + base[k], seq))
 
 
-def _canonical_classes(spec: EnumSpec) -> list[tuple[bytes, int]]:
-    """(canonical form, Wiener index) of every class, sorted by canonical form."""
-    table = RootedTrees(spec.n - 3)
-    classes = unicyclic_classes(spec, table)
-    return sorted((canonical_form(table.graph(c.trees)), c.wiener) for c in classes)
-
-
-def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[Graph]:
-    """One representative per isomorphism class, in canonical-form order.
+def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[tuple[Graph, int]]:
+    """(representative, Wiener index) per isomorphism class, in canonical-form order.
 
     The representative itself is canonically labeled, so the stream does
-    not depend on how the classes were found.
+    not depend on how the classes were found; W is the one the search
+    carried, not recomputed.
     """
-    for key, _ in _canonical_classes(spec):
-        yield graph_from_canonical(key)
+    table = RootedTrees(spec.n - 3)
+    classes = unicyclic_classes(spec, table)
+    for key, w in sorted((canonical_form(table.graph(c.trees)), c.wiener) for c in classes):
+        yield graph_from_canonical(key), w
 
 
 def count_classes(spec: EnumSpec) -> int:

@@ -320,9 +320,9 @@ def random_connected_graph(rng: random.Random, n_min: int = 2, n_max: int = 12) 
         non_edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
         ]
-        if non_edges:
-            u, v = non_edges[rng.randrange(len(non_edges))]
-            g = g.with_edge(u, v)
+        # a tree on n >= 3 vertices always misses a pair, so non_edges is not empty
+        u, v = non_edges[rng.randrange(len(non_edges))]
+        g = g.with_edge(u, v)
     return g
 
 
@@ -340,6 +340,11 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
     mono_checked = 0
     mono_skipped = 0
     bad: list[LemmaCounterexample] = []
+
+    def flag(lemma: str, u: int, v: int | None, detail: str) -> None:
+        """Record a counterexample on the current draw's g, h and w."""
+        bad.append(LemmaCounterexample(lemma, graph6_encode(g), graph6_encode(h), u, v, w, detail))
+
     while identity_checked < trials or mono_checked < trials:
         n1 = rng.randint(2, 12)
         n2 = rng.randint(2, min(12, 15 - n1))
@@ -354,17 +359,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
             w_at_u = wiener_index(coalesce(g, u, h, w)[0])
             rhs = sum(tg) // 2 + sum(th) // 2 + (n1 - 1) * th[w] + (n2 - 1) * tg[u]
             if w_at_u != rhs:
-                bad.append(
-                    LemmaCounterexample(
-                        lemma="coalescence-identity",
-                        graph6_g=graph6_encode(g),
-                        graph6_h=graph6_encode(h),
-                        u=u,
-                        v=None,
-                        w=w,
-                        detail=f"W={w_at_u} but decomposition gives {rhs}",
-                    )
-                )
+                flag("coalescence-identity", u, None, f"W={w_at_u} but decomposition gives {rhs}")
             identity_checked += 1
         if mono_checked < trials:
             v = rng.randrange(n1)
@@ -377,17 +372,8 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
                 w_at_v = wiener_index(coalesce(g, v, h, w)[0])
                 lo, hi, w_lo, w_hi = (u, v, w_at_u, w_at_v) if tu < tv else (v, u, w_at_v, w_at_u)
                 if not w_lo < w_hi:
-                    bad.append(
-                        LemmaCounterexample(
-                            lemma="transplant-monotonicity",
-                            graph6_g=graph6_encode(g),
-                            graph6_h=graph6_encode(h),
-                            u=lo,
-                            v=hi,
-                            w=w,
-                            detail=f"W at low anchor {w_lo} !< W at high anchor {w_hi}",
-                        )
-                    )
+                    detail = f"W at low anchor {w_lo} !< W at high anchor {w_hi}"
+                    flag("transplant-monotonicity", lo, hi, detail)
                 mono_checked += 1
     return HarnessReport(
         seed=seed,

@@ -89,6 +89,16 @@ def test_decoding_rejects_an_order_above_the_graph_limit():
         graph_from_canonical(form)
 
 
+@pytest.mark.parametrize(
+    "form, message",
+    [(b"", "empty"), (bytes([3]), "wrong length"), (bytes([3, 0, 0]), "wrong length")],
+)
+def test_decoding_rejects_malformed_forms(form, message):
+    # three vertices take one body byte: none is too short, two too long
+    with pytest.raises(ValueError, match=message):
+        graph_from_canonical(form)
+
+
 @pytest.mark.parametrize("body", [0xE0, 0x08])
 def test_decoding_rejects_set_padding_bits(body):
     # three vertices take three bits, the low ones of their byte; 0300 is the empty graph

@@ -43,7 +43,7 @@ def test_enumerator_matches_ledger(record):
     p, q = record["p"], record["q"]
     if p + q > _n_max():
         pytest.skip("orders 13 and 14 need WU_ACCEPT_N13")
-    forms = [canonical_form(g) for g in enumerate_unicyclic_bipartite(EnumSpec(p, q))]
+    forms = [canonical_form(g) for g, _ in enumerate_unicyclic_bipartite(EnumSpec(p, q))]
     assert forms == sorted(set(forms))
     assert len(forms) == record["classes"]
     assert hashlib.sha256(b"".join(forms)).hexdigest() == record["classes_sha256"]

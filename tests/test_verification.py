@@ -1,6 +1,7 @@
 """Extremal reports, structural consequences, lemma harness, table."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -21,6 +22,7 @@ from wiener_unicyclic import (
     verify_both,
 )
 from wiener_unicyclic import canon, enumeration, verification
+from wiener_unicyclic.cli import main
 from wiener_unicyclic.enumeration import RootedTrees
 from wiener_unicyclic.verification import cycle_six_is_min_optimizer
 
@@ -207,6 +209,28 @@ class TestLemmaHarness:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             lemma_harness(seed=1, trials=0)
+
+    def test_reports_counterexamples_when_wiener_is_wrong(self, monkeypatch, capsys):
+        # W = 0 everywhere breaks the identity on every draw and makes every
+        # transplant pair equal, so each checked trial yields one record
+        monkeypatch.setattr(verification, "wiener_index", lambda g: 0)
+        report = lemma_harness(seed=1, trials=3)
+        assert not report.ok
+        lemmas = [c.lemma for c in report.counterexamples]
+        assert sorted(lemmas) == ["coalescence-identity"] * 3 + ["transplant-monotonicity"] * 3
+        for c in report.counterexamples:
+            g, h = graph6_decode(c.graph6_g), graph6_decode(c.graph6_h)
+            assert 2 <= g.n and 2 <= h.n and g.n + h.n <= 15
+            assert 0 <= c.u < g.n and 0 <= c.w < h.n
+            if c.lemma == "coalescence-identity":
+                assert c.v is None
+            else:
+                assert c.v is not None and 0 <= c.v < g.n and c.v != c.u
+        assert main(["harness", "--trials", "2", "--format", "json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["identity_checked"] == record["monotonicity_checked"] == 2
+        printed = [c["lemma"] for c in record["counterexamples"]]
+        assert sorted(printed) == ["coalescence-identity"] * 2 + ["transplant-monotonicity"] * 2
 
 
 class TestExtremalTable:
