@@ -12,7 +12,6 @@ constructions.
 from .canon import CANONICAL_MAX_VERTICES, canonical_form
 from .enumeration import (
     EnumSpec,
-    UnicyclicClass,
     count_classes,
     enumerate_unicyclic_bipartite,
     unicyclic_classes,
@@ -84,7 +83,6 @@ __all__ = [
     "StructuralCheck",
     "TableRow",
     "UNREACHABLE",
-    "UnicyclicClass",
     "all_pairs_distances",
     "bipartition",
     "build_broom",

@@ -51,11 +51,11 @@ bracelets directly and never compares two graphs:
   and ``uniqueness`` on these codes, so ``canonical_form`` only fills the
   printed witness fields.
 
-The class stream comes in a fixed order (cycle length, then tree ids).
-The search runs in the calling process; at the orders ``EnumSpec``
-allows (p + q <= 16) it takes under a second per (p, q).
-Only ``enumerate_unicyclic_bipartite`` builds every graph, and it pays
-one canonical form per class.
+The search gives each class as a plain pair (W, tree ids), in a fixed
+order (cycle length, then tree ids). It runs in the calling process; at
+the orders ``EnumSpec`` allows (p + q <= 16) it takes under a second per
+(p, q). Only ``enumerate_unicyclic_bipartite`` builds every graph, and it
+pays one canonical form per class.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class RootedTrees:
         tuple of its children's ids (Aho, Hopcroft and Ullman, 1974), and the
         code is the least of the 2L rotations and reflections of the roots'
         ids. Two such graphs are isomorphic exactly when their codes agree,
-        so ``bracelet_code(graph(c.trees)) == c.trees`` for every class ``c``
+        so ``bracelet_code(graph(ids)) == ids`` for every pair ``(w, ids)``
         that ``unicyclic_classes`` returns with this table, under any
         labeling. Raises ``ValueError`` when ``g`` is not connected unicyclic
         or a hanging tree has more than ``max_size`` vertices.
@@ -188,25 +188,13 @@ class RootedTrees:
         return min(tuple(s[k:] + s[:k]) for s in (ids, ids[::-1]) for k in range(len(ids)))
 
 
-@dataclass(slots=True)
-class UnicyclicClass:
-    """One isomorphism class: tree ids around the cycle, and its Wiener index.
+def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[tuple[int, tuple[int, ...]]]:
+    """Each isomorphism class for ``spec`` exactly once, as a pair (W, tree ids).
 
-    ``RootedTrees.graph(trees)``, on the table the search ran with, gives a
-    representative graph. Slotted and not frozen, so the search pays no
-    ``object.__setattr__`` for each class it emits.
-    """
-
-    wiener: int
-    trees: tuple[int, ...]
-
-
-def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[UnicyclicClass]:
-    """Each isomorphism class for ``spec`` exactly once, with its Wiener index.
-
-    The order is fixed: cycle length, then tree ids. ``trees`` must reach
-    n - 3 vertices, and is built when not given; ids do not depend on the
-    table's size, so one table can serve every pair of a run.
+    The tree ids run around the cycle, and ``trees.graph(ids)`` is a
+    representative graph. The order is fixed: cycle length, then tree ids.
+    ``trees`` must reach n - 3 vertices, and is built when not given; ids do
+    not depend on the table's size, so one table can serve every pair of a run.
     """
     p, q, n = spec.p, spec.q, spec.n
     if trees is None:
@@ -221,7 +209,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
     beads = bounds[n - 2][0]
     base = [n * d - sq for d, sq in zip(trees.depth_sum[:beads], trees.square_sum[:beads])]
     targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
-    out: list[UnicyclicClass] = []
+    out: list[tuple[int, tuple[int, ...]]] = []
 
     for length in range(4, n + 1, 2):
         a = [0] * length  # a[1..length - 1]; a[0] is the recursion's sentinel
@@ -312,9 +300,9 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
 
 def _append_bracelets(
     head: tuple[int, ...], beads: Sequence[int], spans: list[range],
-    w: int, base: list[int], out: list[UnicyclicClass],
+    w: int, base: list[int], out: list[tuple[int, tuple[int, ...]]],
 ) -> None:
-    """Append the bracelets head + (j, k), j in ``beads`` and k in each span.
+    """Append (W, head + (j, k)) for j in ``beads`` and k in each span.
 
     W is w + base[j] + base[k]. Each is a necklace, so only a rotation of
     its reversal that starts with head[0], its least bead, can be less.
@@ -331,7 +319,7 @@ def _append_bracelets(
                     if rev[i:] + rev[:i] < seq:
                         break
                 else:
-                    out.append(UnicyclicClass(w_j + base[k], seq))
+                    out.append((w_j + base[k], seq))
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[tuple[Graph, int]]:
@@ -343,7 +331,7 @@ def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[tuple[Graph, int]]
     """
     table = RootedTrees(spec.n - 3)
     classes = unicyclic_classes(spec, table)
-    for key, w in sorted((canonical_form(table.graph(c.trees)), c.wiener) for c in classes):
+    for key, w in sorted((canonical_form(table.graph(ids)), w) for w, ids in classes):
         yield graph_from_canonical(key), w
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -172,30 +172,25 @@ def coalesce(g1: Graph, u: int, g2: Graph, w: int) -> tuple[Graph, tuple[int, ..
     """Identify vertex ``u`` of g1 with vertex ``w`` of g2.
 
     The result keeps g1's labels; g2's remaining vertices follow in
-    increasing original order starting at ``g1.n``. Returns the merged
-    graph together with the map ``new_id_of[g2_vertex]``.
+    increasing original order starting at ``g1.n``, so x != w becomes
+    g1.n + x - (x > w). Returns the merged graph together with the map
+    ``new_id_of[g2_vertex]``. Raises ``ValueError`` when the merged graph
+    would have more than ``MAX_VERTICES`` vertices.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("coalesce needs two nonempty graphs")
+    n1, n = g1.n, g1.n + g2.n - 1
+    if n > MAX_VERTICES:
+        raise ValueError(f"coalesced order {n} exceeds the {MAX_VERTICES}-vertex limit")
     g1.check_vertex(u)
     g2.check_vertex(w)
-    remap = []
-    nxt = g1.n
-    for x in range(g2.n):
-        if x == w:
-            remap.append(u)
-        else:
-            remap.append(nxt)
-            nxt += 1
-    n = g1.n + g2.n - 1
-    adj = list(g1.adj) + [0] * (g2.n - 1)
-    for x in range(g2.n):
-        for y in g2.neighbors(x):
-            if x < y:
-                a, b = remap[x], remap[y]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return Graph(n, tuple(adj)), tuple(remap)
+    remap = (*range(n1, n1 + w), u, *range(n1 + w, n))
+    adj = list(g1.adj) + [0] * (n - n1)
+    for x, mask in enumerate(g2.adj):
+        # the bits below w move up by n1, those above w by n1 - 1, and bit w goes to u
+        below, above = mask & (1 << w) - 1, mask >> w + 1
+        adj[remap[x]] |= below << n1 | above << n1 + w | (mask >> w & 1) << u
+    return Graph(n, tuple(adj)), remap
 
 
 def build_min_extremal(p: int, q: int) -> Graph:

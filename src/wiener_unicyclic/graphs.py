@@ -6,14 +6,14 @@ Wiener index, come from one kernel that grows the ball of every vertex at
 once: with B_d(v) the set of vertices within distance d of v, B_{d+1}(v)
 is the union of B_d(w) over v and its neighbours w, and the transmission
 is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
-per edge end. Distances from one vertex, or from a set of vertices, come
-from one bitmask BFS helper, which lists the vertices at each distance:
-it serves distance rows (and so one transmission), connectivity and
-bipartition. One leaf peel reads a unicyclic graph: it yields the cycle,
-which ``cycle_vertices`` returns, and the trees hanging off it, as each
-vertex's children, which bracelet codes and the broom check read.
-Everything is a pure function; operations that would change a graph
-return a new one instead.
+per edge end, and it serves every transmission, one vertex's too.
+Distances from one vertex, or from a set of vertices, come from one
+bitmask BFS helper, which lists the vertices at each distance: it serves
+distance rows, connectivity and bipartition. One leaf peel reads a
+unicyclic graph: it yields the cycle, which ``cycle_vertices`` returns,
+and the trees hanging off it, as each vertex's children, which bracelet
+codes and the broom check read. Everything is a pure function;
+operations that would change a graph return a new one instead.
 """
 
 from __future__ import annotations
@@ -178,27 +178,22 @@ def _bfs_layers(adj: Sequence[int], starts: int) -> Iterator[int]:
         seen |= frontier
 
 
-def _bfs_row(adj: Sequence[int], n: int, start: int) -> list[int]:
-    row = [UNREACHABLE] * n
-    for d, layer in enumerate(_bfs_layers(adj, 1 << start)):
-        for v in bits(layer):
-            row[v] = d
-    return row
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; disconnected pairs get ``UNREACHABLE``."""
-    rows = tuple(tuple(_bfs_row(g.adj, g.n, s)) for s in range(g.n))
-    return DistanceMatrix(g.n, rows)
+    rows = []
+    for s in range(g.n):
+        row = [UNREACHABLE] * g.n
+        for d, layer in enumerate(_bfs_layers(g.adj, 1 << s)):
+            for v in bits(layer):
+                row[v] = d
+        rows.append(tuple(row))
+    return DistanceMatrix(g.n, tuple(rows))
 
 
 def transmission(g: Graph, v: int) -> int:
-    """Sum of distances from ``v`` to every other vertex."""
+    """Sum of distances from ``v`` to every other vertex, read from ``transmissions``."""
     g.check_vertex(v)
-    row = _bfs_row(g.adj, g.n, v)
-    if UNREACHABLE in row:
-        raise DisconnectedGraphError("transmission is undefined for disconnected graphs")
-    return sum(row)
+    return transmissions(g)[v]
 
 
 def transmissions(g: Graph) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .canon import canonical_form, graph_from_canonical
-from .enumeration import EnumSpec, RootedTrees, UnicyclicClass, unicyclic_classes
+from .enumeration import EnumSpec, RootedTrees, unicyclic_classes
 from .families import (
     build_cycle,
     build_min_extremal,
@@ -99,32 +99,32 @@ class ExtremalReport:
 
 
 def _side(
-    p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
-) -> tuple[dict, list[UnicyclicClass], Graph]:
+    p: int, q: int, direction: str, classes: list[tuple[int, tuple[int, ...]]], table: RootedTrees
+) -> tuple[dict, list[tuple[int, ...]], Graph]:
     """The ``direction`` side ("max" or "min") over every class with parts (p, q).
 
     Returns the side's ``ExtremalReport`` fields that need no canonical form,
-    under the report's own names, then the optimizer classes and the predicted
-    graph. The max side predicts the onion with its closed-form value and the
-    published polynomial, the min side the two-pendant-cluster cycle with
-    ``min_wiener_polynomial``; only the side asked for is built. ``graph_match`` holds when
-    the predicted graph's bracelet code is the tree ids of an optimizer class,
-    and ``uniqueness`` when there is one optimizer class; the bracelet code is
-    a complete invariant of connected unicyclic graphs, so both agree with a
-    comparison of canonical forms.
+    under the report's own names, then the optimizer classes' tree ids and
+    the predicted graph. The max side predicts the onion with its closed-form
+    value and the published polynomial, the min side the two-pendant-cluster
+    cycle with ``min_wiener_polynomial``; only the side asked for is built.
+    ``graph_match`` holds when the predicted graph's bracelet code is among
+    the optimizers' tree ids, and ``uniqueness`` when there is one optimizer
+    class; the bracelet code is a complete invariant of connected unicyclic
+    graphs, so both agree with a comparison of canonical forms.
     """
     if not classes:
         raise RuntimeError(f"enumeration for ({p}, {q}) produced no graphs")
     if direction == "max":
-        optimum = max(c.wiener for c in classes)
+        optimum = max(w for w, _ in classes)
         params = extremal_onion_params(p, q)
         predicted, closed_form = build_onion(params), onion_wiener_closed_form(params)
         polynomial: int | None = theorem_polynomial(p, q)
     else:
-        optimum = min(c.wiener for c in classes)
+        optimum = min(w for w, _ in classes)
         predicted = build_min_extremal(p, q)
         closed_form, polynomial = min_wiener_polynomial(p, q), None
-    optimizers = [c for c in classes if c.wiener == optimum]
+    optimizers = [ids for w, ids in classes if w == optimum]
     code = table.bracelet_code(predicted)
     fields = dict(
         p=p,
@@ -135,7 +135,7 @@ def _side(
         predicted_value_closed_form=closed_form,
         predicted_value_polynomial=polynomial,
         value_match=optimum == closed_form,
-        graph_match=any(c.trees == code for c in optimizers),
+        graph_match=code in optimizers,
         uniqueness=len(optimizers) == 1,
         polynomial_match=None if polynomial is None else optimum == polynomial,
     )
@@ -143,12 +143,12 @@ def _side(
 
 
 def _report(
-    p: int, q: int, direction: str, classes: list[UnicyclicClass], table: RootedTrees
+    p: int, q: int, direction: str, classes: list[tuple[int, tuple[int, ...]]], table: RootedTrees
 ) -> ExtremalReport:
     """The ``direction`` side's fields, with the canonical forms and graph6 it prints."""
     fields, optimizers, predicted = _side(p, q, direction, classes, table)
     # optimizers sorted by canonical form; graph6 of each canonically labeled graph
-    forms = sorted(canonical_form(table.graph(c.trees)) for c in optimizers)
+    forms = sorted(canonical_form(table.graph(ids)) for ids in optimizers)
     witnesses = tuple(OptimizerWitness(f, graph6_encode(graph_from_canonical(f))) for f in forms)
     return ExtremalReport(
         **fields,

@@ -29,8 +29,8 @@ def stream_record(p: int, q: int) -> dict:
     """Class count and stream digest of (p, q)."""
     digest = hashlib.sha256()
     classes = 0
-    for c in unicyclic_classes(EnumSpec(p, q)):
-        digest.update((" ".join(map(str, (c.wiener, *c.trees))) + "\n").encode())
+    for w, ids in unicyclic_classes(EnumSpec(p, q)):
+        digest.update((" ".join(map(str, (w, *ids))) + "\n").encode())
         classes += 1
     return {"p": p, "q": q, "classes": classes, "stream_sha256": digest.hexdigest()}
 

@@ -149,7 +149,7 @@ def test_class_stream_is_every_bracelet_in_order():
     for n in range(4, 13):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            mine = [c.trees for c in unicyclic_classes(EnumSpec(p, n - p))]
+            mine = [ids for _, ids in unicyclic_classes(EnumSpec(p, n - p))]
             assert mine == bracelet_stream(p, n - p, table), (p, n - p)
 
 
@@ -184,7 +184,7 @@ def test_matches_tree_plus_edge_route():
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
             classes = unicyclic_classes(EnumSpec(p, n - p), table)
-            mine = [canonical_form(table.graph(c.trees)) for c in classes]
+            mine = [canonical_form(table.graph(ids)) for _, ids in classes]
             assert len(set(mine)) == len(mine), (p, n - p)
             assert set(mine) == tree_plus_edge_classes(p, n - p), (p, n - p)
 
@@ -193,8 +193,8 @@ def test_structural_wiener_matches_bfs():
     for n in range(4, 13):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            for c in unicyclic_classes(EnumSpec(p, n - p), table):
-                assert c.wiener == wiener_index(table.graph(c.trees)), c.trees
+            for w, ids in unicyclic_classes(EnumSpec(p, n - p), table):
+                assert w == wiener_index(table.graph(ids)), ids
 
 
 def test_carried_wiener_matches_leaf_formula():
@@ -202,12 +202,12 @@ def test_carried_wiener_matches_leaf_formula():
     for n in range(4, 14):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            for c in unicyclic_classes(EnumSpec(p, n - p), table):
-                assert c.wiener == structural_wiener(table, c.trees), c.trees
+            for w, ids in unicyclic_classes(EnumSpec(p, n - p), table):
+                assert w == structural_wiener(table, ids), ids
 
 
 def test_class_stream_order_is_cycle_length_then_tree_ids():
-    seq = [c.trees for c in unicyclic_classes(EnumSpec(5, 7))]
+    seq = [ids for _, ids in unicyclic_classes(EnumSpec(5, 7))]
     assert seq == sorted(seq, key=lambda ids: (len(ids), ids))
 
 
@@ -217,11 +217,11 @@ def test_bracelet_code_of_a_relabeled_class_is_its_tree_ids():
     table = RootedTrees(9)
     for n in range(4, 13):
         for p in range(2, n // 2 + 1):
-            for c in unicyclic_classes(EnumSpec(p, n - p), table):
-                g = table.graph(c.trees)
+            for _, ids in unicyclic_classes(EnumSpec(p, n - p), table):
+                g = table.graph(ids)
                 perm = list(range(g.n))
                 rng.shuffle(perm)
-                assert table.bracelet_code(g.relabel(perm)) == c.trees, c.trees
+                assert table.bracelet_code(g.relabel(perm)) == ids, ids
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from wiener_unicyclic import (
     BroomParams,
+    Graph,
     OnionParams,
     bipartition,
     build_broom,
@@ -18,6 +19,8 @@ from wiener_unicyclic import (
     canonical_form,
     coalesce,
     extremal_onion_params,
+    graph6_decode,
+    graph6_encode,
     is_unicyclic,
     min_wiener_polynomial,
     onion_transmissions,
@@ -29,6 +32,13 @@ from wiener_unicyclic import (
 )
 
 from oracles import wiener_via_floyd_warshall
+
+
+def random_edge_set(rng: random.Random, n: int) -> Graph:
+    """A graph on n vertices, each pair an edge with one random density."""
+    density = rng.choice((0.02, 0.1, 0.5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if rng.random() < density])
 
 
 class TestPrimitiveBuilders:
@@ -171,6 +181,31 @@ class TestCoalesce:
     def test_invalid_vertex(self):
         with pytest.raises(IndexError):
             coalesce(build_path(2), 5, build_path(2), 0)
+
+    def test_labelling_follows_the_documented_rule(self):
+        # the merged graph and the map from the docstring alone, on random
+        # graphs (not always connected) with merged orders up to 64
+        rng = random.Random(1801)
+        for trial in range(200):
+            n1 = rng.randint(1, 63)
+            n2 = 65 - n1 if trial % 4 == 0 else rng.randint(1, 65 - n1)
+            g1, g2 = random_edge_set(rng, n1), random_edge_set(rng, n2)
+            u, w = rng.randrange(n1), rng.randrange(n2)
+            new_id = [u if x == w else n1 + x - (x > w) for x in range(n2)]
+            expected = g1.edges() + [(new_id[x], new_id[y]) for x, y in g2.edges()]
+            merged, remap = coalesce(g1, u, g2, w)
+            assert merged == Graph.from_edges(n1 + n2 - 1, expected), (n1, u, n2, w)
+            assert remap == tuple(new_id)
+
+    def test_past_the_vertex_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="order 66 exceeds the 64-vertex limit"):
+            coalesce(build_path(64), 0, build_path(3), 0)
+
+    def test_at_the_vertex_limit_builds(self):
+        merged, remap = coalesce(build_path(62), 61, build_path(3), 0)
+        assert merged == build_path(64)
+        assert remap == (61, 62, 63)
+        assert graph6_decode(graph6_encode(merged)) == merged
 
     def test_wiener_decomposition_on_random_pairs(self):
         rng = random.Random(424242)

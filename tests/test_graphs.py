@@ -141,7 +141,7 @@ class TestWienerAndTransmission:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             wiener_index(g)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match="transmissions are undefined"):
             transmission(g, 0)
 
     def test_invalid_vertex(self):
