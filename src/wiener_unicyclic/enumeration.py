@@ -24,8 +24,11 @@ bracelets directly and never compares two graphs:
   the last two beads, so the last bead's size is fixed; every bead at
   L - 1 but one makes the period L - 1, so the last bead must exceed
   the first. So the ids at L - 1 of one odd-depth count share one id
-  range of last beads per target, and a count whose ranges are all
-  empty is never visited.
+  range of last beads per target; these ranges depend only on the
+  vertices left, the colour count and the first bead, and are found
+  once per search. Position L - 2 looks them up per odd-depth count of
+  the bead it places, so position L - 1 is entered only where a last
+  bead fits.
 * **Colour bound.** Every bead at an odd cycle position (counting from 1)
   adds between 1 (its root) and its size to the colour count of cycle
   vertex 0, every bead at an even position between 0 and its size - 1.
@@ -39,7 +42,8 @@ bracelets directly and never compares two graphs:
   sum at the leaf: W is carried down the recursion. A bead of size s at
   t adds its n * D - Q and s times its pull, the sum of s_i * d_C(i, t)
   over the beads before it; the pull at t + 1 is one sum per call plus
-  s. Only a sequence drawn from a last-bead range is built, and only the
+  s. Position L - 1 is entered only where a last bead fits, and only a
+  sequence drawn from a non-empty last-bead range is built; only the
   rotations of its reversal that start with its first (least) bead,
   found by ``tuple.index``, are compared with it.
 * **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
@@ -210,6 +214,54 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
     base = [n * d - sq for d, sq in zip(trees.depth_sum[:beads], trees.square_sum[:beads])]
     targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
     out: list[tuple[int, tuple[int, ...]]] = []
+    # (rest, colour, a[1]) -> (nonlow, top, groups); see fits
+    lasts: dict[tuple[int, int, int], tuple[int, int, list[tuple[int, range, list[range]]]]] = {}
+
+    def last_beads(last: list[int], c: int, above: int) -> list[range]:
+        # the non-empty id ranges of last beads from above up, one per target y,
+        # when last is their size's bounds row and they need y - c odd-depth vertices
+        spans = []
+        for y in targets:
+            lo, hi = last[y - c], last[y - c + 1]
+            if lo < above:
+                lo = above
+            if lo < hi:
+                spans.append(range(lo, hi))
+        return spans
+
+    def fits(rest: int, colour: int, first: int) -> tuple[int, int, list[tuple[int, range, list[range]]]]:
+        # What position L - 1 can close with, when the last two beads share
+        # rest vertices, colour counts cycle vertex 0's colour so far and
+        # a[1] = first; the same for every cycle length, so kept in lasts.
+        # Any bead j at L - 1 but the low one makes the period L - 1, which
+        # never divides L, so its last bead k exceeds first. A j of size s
+        # with o odd-depth vertices leaves k r = rest - s vertices, y - c of
+        # them at odd depth for target y, where c = colour + s - o, so the j
+        # of one odd count share their spans of k. groups holds (s, ids,
+        # spans) per odd count that has a k, in id order, with only the
+        # non-empty spans; nonlow is the end of its last ids. With first
+        # itself at L - 1, any last bead below top has the right odd count.
+        # extend's most leaves rest >= 2 * size[first].
+        groups = []
+        for s in range(size[first], rest - size[first] + 1):
+            r = rest - s
+            b, last = bounds[s], bounds[r]
+            above = first + 1 if first >= last[0] else last[0]  # the least k of size r
+            if above == last[r]:
+                continue
+            # k has odd[above] to r - 1 odd-depth vertices, so o runs over at most
+            # this window: y - c is odd[above] for the largest target, r - 1 for the least
+            shift = colour + s
+            for o in range(max(odd[above] + shift - targets[-1], 0), min(r + shift - targets[0], s)):
+                if b[o] < b[o + 1]:
+                    spans = last_beads(last, shift - o, above)
+                    if spans:
+                        groups.append((s, range(b[o], b[o + 1]), spans))
+        s = size[first]
+        spans = last_beads(bounds[rest - s], colour + s - odd[first], 0)
+        fit = (groups[-1][1].stop if groups else 0, spans[-1].stop if spans else 0, groups)
+        lasts[rest, colour, first] = fit
+        return fit
 
     for length in range(4, n + 1, 2):
         a = [0] * length  # a[1..length - 1]; a[0] is the recursion's sentinel
@@ -237,7 +289,6 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             ceil = colour + rest - k_even
             flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
             reach = sum(map(mul, sizes[1:t], hops[length - t - 1 :]))  # the pull at t + 1, less s
-            step = extend if t < length - 2 else close
             for s in range(size[low], most + 1):
                 b, start = bounds[s], low
                 sizes[t] = s
@@ -246,50 +297,72 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                 for x in (reversed(targets) if flip else targets):
                     lo, hi = (s + floor - x, ceil - x) if flip else (x - ceil + s, x - floor)
                     first_id, stop = b[lo], b[hi + 1]
-                    for j in range(start if start > first_id else first_id, stop):
-                        a[t] = j
-                        step(
-                            t + 1,
-                            period if j == low else t,
-                            used + s,
-                            colour + (s - odd[j] if flip else odd[j]),
-                            w_s + base[j],
-                            reach + s,
-                        )
+                    j = start if start > first_id else first_id
                     if stop > start:
                         start = stop
+                    if t < length - 2:
+                        for j in range(j, stop):
+                            a[t] = j
+                            extend(
+                                t + 1,
+                                period if j == low else t,
+                                used + s,
+                                colour + (s - odd[j] if flip else odd[j]),
+                                w_s + base[j],
+                                reach + s,
+                            )
+                        continue
+                    # t = L - 2, an even position: one odd count at a time, call
+                    # close only for the j after which some last bead fits
+                    while j < stop:
+                        end, c = b[odd[j] + 1], colour + odd[j]
+                        key = (rest - s, c, a[1])
+                        nonlow, top, _ = lasts.get(key) or fits(*key)
+                        if j == low:  # keeps the period
+                            a[t] = j
+                            if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c):
+                                close(t + 1, period, used + s, c, w_s + base[j], reach + s)
+                            j += 1
+                        # any other j makes the period t, so a[1] is the low bead
+                        # at L - 1, and its last bead is at least a[2] (which is j
+                        # at L = 4), plus 1 past L = 4
+                        if nonlow > a[1] + 1:
+                            upto = end
+                        elif length == 4:
+                            upto = min(end, top)
+                        else:
+                            upto = end if a[2] + 1 < top else j
+                        for j in range(j, upto):
+                            a[t] = j
+                            close(t + 1, t, used + s, c, w_s + base[j], reach + s)
+                        j = end
+
+        def low_spans(t: int, period: int, rest: int, colour: int) -> list[range]:
+            # The last beads after low = a[t - period] at t = L - 1, which keeps
+            # the period, so FKM bounds the last bead by a[L - period], plus 1
+            # unless the period divides L; the empty spans are left out.
+            low = a[t - period]
+            s = size[low]
+            if s > rest - size[a[1]]:  # no last bead as large as a[1] is left
+                return []
+            a[t] = low  # a period of 1 reads a[t]
+            above = a[length - period] + (length % period > 0)
+            return last_beads(bounds[rest - s], colour + s - odd[low], above)
 
         def close(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
-            # t = length - 1 places the last two beads: j of size s here, and
-            # one of size r = rest - s with y - c odd-depth vertices for target
-            # y, where c = colour + s - odd[j]. Any j but low makes the period
-            # t, which never divides length, so its last bead exceeds a[1].
+            # t = length - 1 places the last two beads: the low bead, then each
+            # odd-count group of later beads that fits lists, in id order. A
+            # bead of size s here leaves r = rest - s for the last one.
             low, rest, head = a[t - period], n - used, tuple(a[1:t])
             reach = sum(map(mul, sizes[1:t], hops))  # the pull at length, less s
-            for s in range(size[low], rest - size[a[1]] + 1):
-                r = rest - s
-                b, last, start = bounds[s], bounds[r], low
-                w_s = w + s * pull + r * (reach + s)
-                if s == size[low]:  # low keeps the period, and FKM's bound on the last bead
-                    a[t], start = low, low + 1  # a period of 1 reads a[t]
-                    above, c = a[length - period] + (length % period > 0), colour + s - odd[low]
-                    if above < last[r]:
-                        spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
-                        _append_bracelets(head, (low,), spans, w_s, base, out)
-                # for target x, the j whose last bead's x - c runs from kmin, the
-                # odd count of the least last bead above a[1], to r - 1
-                above = a[1] + 1 if a[1] >= last[0] else last[0]
-                kmin = odd[above] if above < last[r] else r
-                for x in reversed(targets):  # ascending, start skips the overlap
-                    first_id, stop = b[s + colour - x + kmin], b[colour + rest - x]
-                    j = start if start > first_id else first_id
-                    while j < stop:
-                        c, end = colour + s - odd[j], b[odd[j] + 1]
-                        spans = [range(max(above, last[y - c]), last[y - c + 1]) for y in targets]
-                        _append_bracelets(head, range(j, end), spans, w_s, base, out)
-                        j = end
-                    if stop > start:
-                        start = stop
+            spans = low_spans(t, period, rest, colour)
+            if spans:
+                s = size[low]
+                _append_bracelets(head, (low,), spans, w + s * pull + (rest - s) * (reach + s), base, out)
+            for s, ids, spans in lasts[rest, colour, a[1]][2]:
+                if ids.stop > low + 1:
+                    beads = ids if ids.start > low else range(low + 1, ids.stop)
+                    _append_bracelets(head, beads, spans, w + s * pull + (rest - s) * (reach + s), base, out)
 
         extend(1, 1, 0, 0, 0, 0)
         # extend reaches itself through its closure; unbinding it breaks the

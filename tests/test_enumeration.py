@@ -25,6 +25,7 @@ from wiener_unicyclic import (
     wiener_index,
 )
 
+from wiener_unicyclic import enumeration
 from wiener_unicyclic.enumeration import RootedTrees, unicyclic_classes
 
 from oracles import (
@@ -154,13 +155,31 @@ def test_class_stream_is_every_bracelet_in_order():
 
 
 def test_stream_does_not_depend_on_table_size():
-    # one table of the largest size serves every pair of a table run
+    # one table of the largest size serves every pair of a table run, in any
+    # order: what a search remembers of its last-bead checks dies with it
+    pairs = [(p, n - p) for n in range(4, 13) for p in range(2, n // 2 + 1)]
+    own = {pq: unicyclic_classes(EnumSpec(*pq), RootedTrees(sum(pq) - 3)) for pq in pairs}
     shared = RootedTrees(9)
+    for pq in pairs[::-1] + pairs:
+        assert unicyclic_classes(EnumSpec(*pq), shared) == own[pq], pq
+
+
+def test_every_last_bead_call_gets_a_non_empty_span(monkeypatch):
+    # position L - 1 is entered only where a last bead fits, and it passes on
+    # only the non-empty last-bead ranges
+    calls = []
+    append = enumeration._append_bracelets
+
+    def counting(head, beads, spans, *rest):
+        calls.append((head, tuple(beads), [len(span) for span in spans]))
+        append(head, beads, spans, *rest)
+
+    monkeypatch.setattr(enumeration, "_append_bracelets", counting)
     for n in range(4, 13):
-        own = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
-            spec = EnumSpec(p, n - p)
-            assert unicyclic_classes(spec, shared) == unicyclic_classes(spec, own), (p, n - p)
+            unicyclic_classes(EnumSpec(p, n - p))
+    assert calls
+    assert [call for call in calls if not call[1] or not all(call[2])] == []
 
 
 def test_search_rejects_a_table_below_its_order():
