@@ -240,8 +240,8 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
         # of one odd count share their spans of k. groups holds (s, ids,
         # spans) per odd count that has a k, in id order, with only the
         # non-empty spans; nonlow is the end of its last ids. With first
-        # itself at L - 1, any last bead below top has the right odd count.
-        # extend's most leaves rest >= 2 * size[first].
+        # itself at L - 1, a last bead of at least id b fits exactly when
+        # b < top. extend's most leaves rest >= 2 * size[first].
         groups = []
         for s in range(size[first], rest - size[first] + 1):
             r = rest - s
@@ -350,9 +350,9 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             return last_beads(bounds[rest - s], colour + s - odd[low], above)
 
         def close(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
-            # t = length - 1 places the last two beads: the low bead, then each
-            # odd-count group of later beads that fits lists, in id order. A
-            # bead of size s here leaves r = rest - s for the last one.
+            # t = length - 1 places the last two beads: the low bead, then the
+            # later beads of each odd-count group in fits, in id order. A bead
+            # of size s here leaves r = rest - s vertices for the last one.
             low, rest, head = a[t - period], n - used, tuple(a[1:t])
             reach = sum(map(mul, sizes[1:t], hops))  # the pull at length, less s
             spans = low_spans(t, period, rest, colour)
