@@ -178,8 +178,6 @@ class RootedTrees:
         or a hanging tree has more than ``max_size`` vertices.
         """
         peeled, cycle, children = _peel_leaves(g)
-        if g.num_edges != g.n:  # g has one cycle, so any other component is a tree
-            raise ValueError("graph is not connected")
         tree_id, tree = self.tree_id, [0] * g.n  # tree[v]: the id of the subtree at v
         for v in peeled + cycle:  # each vertex after its children
             key = tuple(sorted([tree[c] for c in bits(children[v])]))

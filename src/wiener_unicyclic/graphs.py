@@ -1,19 +1,20 @@
 """Immutable bitset-backed simple graphs and distance invariants.
 
 Vertices are the integers ``0..n-1`` and the neighbourhood of each vertex
-is stored as a single int bitmask. Transmissions, and through them the
-Wiener index, come from one kernel that grows the ball of every vertex at
-once: with B_d(v) the set of vertices within distance d of v, B_{d+1}(v)
-is the union of B_d(w) over v and its neighbours w, and the transmission
-is t(v) = sum over d >= 0 of (n - |B_d(v)|). A step costs one bitmask OR
-per edge end, and it serves every transmission, one vertex's too.
+is stored as a single int bitmask. One leaf peel removes vertices of
+degree at most one until only the 2-core is left (the cycle of a
+unicyclic graph, nothing of a tree) and records the neighbour each peeled
+vertex hung from. Two readers share it. The transmissions kernel, which
+gives every transmission and through them the Wiener index, grows
+distance balls on the 2-core only, each seeded with the trees hanging
+from its vertex, and reroots those trees in one walk back out (see
+``transmissions``). ``_peel_leaves`` reads a unicyclic graph: the cycle,
+which ``cycle_vertices`` returns, and the trees hanging off it, as each
+vertex's children, which bracelet codes and the broom check read.
 Distances from one vertex, or from a set of vertices, come from one
 bitmask BFS helper, which lists the vertices at each distance: it serves
-distance rows, connectivity and bipartition. One leaf peel reads a
-unicyclic graph: it yields the cycle, which ``cycle_vertices`` returns,
-and the trees hanging off it, as each vertex's children, which bracelet
-codes and the broom check read. Everything is a pure function;
-operations that would change a graph return a new one instead.
+distance rows, connectivity and bipartition. Everything is a pure
+function; operations that would change a graph return a new one instead.
 """
 
 from __future__ import annotations
@@ -197,22 +198,68 @@ def transmission(g: Graph, v: int) -> int:
 
 
 def transmissions(g: Graph) -> tuple[int, ...]:
-    """Transmissions of all vertices, from balls grown for every vertex at once.
+    """Transmissions of all vertices: distance balls on the 2-core, rerooting on its trees.
 
-    Step d turns each vertex's ball B_d into B_{d+1} by OR-ing the balls of
-    its neighbours, reading only the previous step's list, and adds
-    n - |B_{d+1}| to the vertex's total. A vertex leaves the loop once its
-    ball holds every vertex. A ball that stops growing before that means
-    the graph is disconnected.
+    The leaf peel hangs every vertex outside the 2-core C from a parent.
+    The block of a vertex v is v together with every peeled vertex that
+    hangs from it, directly or not; s(v) is its size and depth(x) the
+    number of edges from x down to C.
+
+    Core. A shortest path between two core vertices never enters a
+    hanging tree, so distances within C are those of g, and a vertex x in
+    the block of core vertex c' is at distance d(c, c') + depth(x) from
+    core vertex c. Let B_d(c) be the union of the blocks of the core
+    vertices within distance d of c. Then x lies outside B_d(c) for
+    exactly d(c, c') values of d, and x lies in the blocks of exactly
+    depth(x) peeled vertices (itself and those between it and C), so
+
+        t(c) = sum over d >= 0 of (n - |B_d(c)|) + sum over peeled x of s(x).
+
+    B_0(c) is the block of c, and step d turns B_d(c) into B_{d+1}(c) by
+    OR-ing the balls of c's core neighbours, reading only the previous
+    step's list. A core vertex leaves the loop once its ball holds every
+    vertex; a ball that stops growing before that means C is
+    disconnected. A graph with no vertex of degree at most one is its own
+    core.
+
+    Trees. Stepping from y = parent(x) to x brings the s(x) vertices of
+    x's block one edge closer and the other n - s(x) one edge further, so
+
+        t(x) = t(y) + n - 2 s(x),
+
+    which the walk back out, in reverse peel order, applies to each
+    parent before its children. A tree has an empty core: its last
+    peeled vertex r is the root, and t(r) = sum over x of depth(x), with
+    depth now counted down to r, which is again the sum of s(x) over the
+    vertices x other than r. A peeled vertex with no parent whose block
+    is not every vertex means a forest, or a tree beside a component with
+    a cycle.
     """
     n = g.n
     if n == 0:
         raise DisconnectedGraphError("graph has no vertices")
+    adj = g.adj
     full = (1 << n) - 1
-    nbrs = [list(bits(a)) for a in g.adj]
-    ball = [1 << v for v in range(n)]
-    total = [n - 1] * n  # the d = 0 term: B_0(v) = {v}
-    growing = [v for v in range(n) if ball[v] != full]
+    peeled, parent, core = _peel(adj)
+    ball = [1 << v for v in range(n)]  # the block of a peeled vertex, the ball of a core vertex
+    size = [0] * n
+    depth_sum = 0
+    for v in peeled:  # each block is whole once its vertex is peeled
+        b = ball[v]
+        s = size[v] = b.bit_count()
+        p = parent[v]
+        if p >= 0:
+            ball[p] |= b
+            depth_sum += s
+        elif s != n:
+            raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
+    total = [depth_sum] * n  # a tree's root keeps this: t(r) = depth_sum
+    nbrs = [None] * n
+    growing = []
+    for c in bits(core):
+        nbrs[c] = list(bits(adj[c] & core))
+        total[c] += n - ball[c].bit_count()  # the d = 0 term
+        growing.append(c)
     while growing:
         grown = ball.copy()
         still = []
@@ -228,6 +275,10 @@ def transmissions(g: Graph) -> tuple[int, ...]:
                 still.append(v)
         ball = grown
         growing = still
+    for v in reversed(peeled):
+        p = parent[v]
+        if p >= 0:
+            total[v] = total[p] + n - 2 * size[v]
     return tuple(total)
 
 
@@ -268,29 +319,48 @@ def bipartition(g: Graph) -> Bipartition | None:
     return Bipartition(b, a)
 
 
-def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """Peel leaves until one cycle is left: (peeled, cycle, children).
+def _peel(adj: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Peel vertices of degree at most one until none is left: (peeled, parent, core).
 
-    ``peeled`` lists the peeled vertices, each after its children, which are
-    the neighbours peeled before it, as the bitmask ``children[v]``. On a
-    connected unicyclic graph they make the trees hanging off the ``cycle``.
-    Raises ``ValueError`` when no cycle or more than one is left.
+    ``peeled`` lists the vertices in the order they go. ``parent[v]`` is
+    the one neighbour of ``v`` still there when ``v`` goes, or -1 when none
+    is, which makes ``v`` the root of a tree component. ``core`` is the
+    bitmask of the vertices left, the 2-core.
     """
-    adj = g.adj
     deg = [a.bit_count() for a in adj]
-    alive = (1 << g.n) - 1
-    children = [0] * g.n
+    core = (1 << len(adj)) - 1
+    parent = [-1] * len(adj)
     # a vertex joins once: at degree <= 1, or when its degree drops from 2 to 1
-    peeled = [v for v in range(g.n) if deg[v] <= 1]
+    peeled = [v for v, d in enumerate(deg) if d <= 1]
     for v in peeled:
-        alive &= ~(1 << v)
-        for w in bits(adj[v] & alive):
-            children[w] |= 1 << v
+        core ^= 1 << v
+        rest = adj[v] & core  # at most one vertex
+        if rest:
+            w = parent[v] = rest.bit_length() - 1
             deg[w] -= 1
             if deg[w] == 1:
                 peeled.append(w)
+    return peeled, parent, core
+
+
+def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """The leaf peel of a connected unicyclic graph: (peeled, cycle, children).
+
+    ``peeled`` lists the peeled vertices, each after its children, which are
+    the neighbours peeled before it, as the bitmask ``children[v]``; they make
+    the trees hanging off the ``cycle``. Raises ``ValueError`` when no cycle
+    or more than one is left, and ``DisconnectedGraphError`` when a tree
+    component lies beside the cycle.
+    """
+    adj = g.adj
+    peeled, parent, alive = _peel(adj)
     if not alive:
         raise ValueError("graph has no cycle")
+    children = [0] * g.n
+    for v in peeled:
+        if parent[v] < 0:  # a tree ends with no parent while a core remains
+            raise DisconnectedGraphError("graph is not connected")
+        children[parent[v]] |= 1 << v
     if any((adj[v] & alive).bit_count() != 2 for v in bits(alive)):
         raise ValueError("graph has more than one cycle")
     cur = next(bits(alive))  # each step goes on to the smallest neighbour not walked yet
@@ -308,7 +378,9 @@ def cycle_vertices(g: Graph) -> list[int]:
     """The unique cycle of a unicyclic graph, in cyclic order.
 
     Starts at the smallest cycle vertex and walks towards its smaller
-    cycle neighbour, so the order is deterministic.
+    cycle neighbour, so the order is deterministic. Raises ``ValueError``
+    when the graph is not connected unicyclic: ``DisconnectedGraphError``
+    when a tree component lies beside the one cycle.
     """
     return _peel_leaves(g)[1]
 

@@ -1,5 +1,6 @@
 """Core graph type, distances, Wiener/transmission, bipartition."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from wiener_unicyclic import (
     build_onion,
     build_path,
     build_star,
+    coalesce,
+    cycle_vertices,
     is_unicyclic,
     random_connected_graph,
     random_tree,
@@ -23,7 +26,12 @@ from wiener_unicyclic import (
     wiener_index,
 )
 
-from oracles import floyd_warshall, transmission_via_floyd_warshall, wiener_via_floyd_warshall
+from oracles import (
+    INF,
+    floyd_warshall,
+    transmission_via_floyd_warshall,
+    wiener_via_floyd_warshall,
+)
 
 
 class TestGraphType:
@@ -169,8 +177,60 @@ def tree_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:
     return g
 
 
+def hang_path(edges: list[tuple[int, int]], at: int, first: int, k: int) -> None:
+    """Hang a path of k new vertices, first..first+k-1, from vertex ``at``."""
+    edges.append((at, first))
+    edges += [(v, v + 1) for v in range(first, first + k - 1)]
+
+
+def dumbbell() -> Graph:
+    """64 vertices: C6 and C5 joined by a 15-edge path, deep trees on the path and both cycles."""
+    edges = [(v, (v + 1) % 6) for v in range(6)]  # cycle 0..5
+    edges += [(6 + v, 6 + (v + 1) % 5) for v in range(5)]  # cycle 6..10
+    edges += [(0, 11)] + [(v, v + 1) for v in range(11, 24)] + [(24, 6)]  # path 11..24
+    hang_path(edges, 17, 25, 10)  # 25..34 from the middle of the path
+    edges += [(27, 35), (27, 36), (30, 37)]  # branches on that path
+    hang_path(edges, 3, 38, 12)  # 38..49 from the six-cycle
+    edges += [(40, 50)]
+    hang_path(edges, 8, 51, 10)  # 51..60 from the five-cycle
+    edges += [(51, 61), (55, 62), (62, 63)]
+    return Graph.from_edges(64, edges)
+
+
+def theta_with_trees() -> Graph:
+    """Paths of lengths 2, 3 and 4 between vertices 0 and 1, with trees on 0, 4 and 6."""
+    edges = [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7), (7, 1)]
+    edges += [(4, 8), (8, 9), (9, 10), (0, 11), (11, 12), (11, 13), (6, 14)]
+    return Graph.from_edges(15, edges)
+
+
+def labeled_graphs(n: int):
+    """Every labeled graph on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield Graph(n, tuple(adj))
+
+
 class TestTransmissionsKernel:
-    """The all-sources kernel against Floyd-Warshall row sums."""
+    """The peel-and-core kernel against Floyd-Warshall row sums."""
+
+    def test_every_labeled_graph_up_to_six_vertices(self):
+        count = 0
+        for n in range(1, 7):
+            for g in labeled_graphs(n):
+                rows = floyd_warshall(g)
+                count += 1
+                if any(INF in row for row in rows):
+                    with pytest.raises(DisconnectedGraphError):
+                        transmissions(g)
+                else:
+                    assert list(transmissions(g)) == [int(sum(row)) for row in rows]
+        assert count == 33867
 
     def test_extreme_diameters_and_small_orders(self):
         complete = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
@@ -194,17 +254,53 @@ class TestTransmissionsKernel:
                 v = rng.randrange(g.n)
                 assert transmission(g, v) == expected[v]
 
+    @pytest.mark.parametrize("build", [dumbbell, theta_with_trees], ids=["dumbbell", "theta"])
+    def test_cores_beyond_one_cycle(self, build):
+        g = build()
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        for h in (g, g.relabel(perm)):
+            assert list(transmissions(h)) == fw_transmissions(h)
+
+    def test_coalesced_random_graphs(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            g = random_connected_graph(rng, 2, 12)
+            h = random_connected_graph(rng, 2, 12)
+            merged, _ = coalesce(g, rng.randrange(g.n), h, rng.randrange(h.n))
+            assert list(transmissions(merged)) == fw_transmissions(merged)
+
     @pytest.mark.parametrize(
-        "g",
+        "g, message",
         [
-            Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # vertex 5 isolated
-            Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
-            Graph.from_edges(0, []),
+            (Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), "undefined"),  # vertex 5 isolated
+            (Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), "undefined"),
+            (Graph.from_edges(0, []), "no vertices"),
+            # a triangle and a 4-cycle: the core stops growing
+            (
+                Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+                "undefined",
+            ),
+            (Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]), "undefined"),
+            # a star on the low labels beside a 4-cycle carrying a pendant path
+            (
+                Graph.from_edges(
+                    10, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3), (6, 7), (7, 8), (8, 9)]
+                ),
+                "undefined",
+            ),
         ],
-        ids=["isolated-vertex", "two-components", "no-vertices"],
+        ids=[
+            "isolated-vertex",
+            "two-components",
+            "no-vertices",
+            "two-cycles",
+            "forest",
+            "cycle-beside-a-tree",
+        ],
     )
-    def test_disconnected_rejected(self, g):
-        with pytest.raises(DisconnectedGraphError):
+    def test_disconnected_rejected(self, g, message):
+        with pytest.raises(DisconnectedGraphError, match=message):
             transmissions(g)
 
 
@@ -250,3 +346,17 @@ class TestUnicyclic:
     def test_two_disjoint_triangles(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert not is_unicyclic(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)]),  # triangle + an edge
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # C4 + an isolated vertex
+            Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]),  # C4 + P3
+        ],
+        ids=["triangle-and-edge", "c4-and-vertex", "c4-and-p3"],
+    )
+    def test_cycle_beside_a_tree_has_no_cycle_vertices(self, g):
+        assert not is_unicyclic(g)
+        with pytest.raises(DisconnectedGraphError, match="not connected"):
+            cycle_vertices(g)

@@ -200,7 +200,7 @@ class TestLemmaHarness:
 
     @pytest.mark.parametrize("seed, skipped", [(1, 1126), (2, 1161), (3, 1121)])
     def test_counts_are_pinned(self, seed, skipped):
-        # recorded with one BFS per transmission, before the all-sources kernel
+        # recorded with one BFS per transmission; every kernel since must keep them
         report = lemma_harness(seed=seed, trials=2000)
         assert (report.identity_checked, report.monotonicity_checked) == (2000, 2000)
         assert report.monotonicity_skipped == skipped
