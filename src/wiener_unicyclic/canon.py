@@ -66,8 +66,6 @@ def canonical_form(g: Graph) -> bytes:
         raise ValueError(
             f"canonical_form supports at most {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
-    if n <= 1:
-        return bytes([n])
     adj = g.adj
 
     nbits = n * (n - 1) // 2

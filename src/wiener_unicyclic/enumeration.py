@@ -276,8 +276,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             rest = n - used
             # every later bead is at least a[1], so at least as large; hence
             # most <= n - (length - 1) * size[a[1]] <= n - 3, the table's reach
-            smallest = size[a[1]] if t > 1 else 0
-            most = (rest // length) if t == 1 else rest - (length - t) * smallest
+            most = rest // length if t == 1 else rest - (length - t) * size[a[1]]
             # Colour bound: beads t+1..length add to colour at least one root
             # per odd position and at most their size less one root per even
             # position, so a bead of size s here may add c only if some target
@@ -316,23 +315,16 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                         end, c = b[odd[j] + 1], colour + odd[j]
                         key = (rest - s, c, a[1])
                         nonlow, top, _ = lasts.get(key) or fits(*key)
-                        if j == low:  # keeps the period
+                        for j in range(j, end):
                             a[t] = j
-                            if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c):
-                                close(t + 1, period, used + s, c, w_s + base[j], reach + s)
-                            j += 1
-                        # any other j makes the period t, so a[1] is the low bead
-                        # at L - 1, and its last bead is at least a[2] (which is j
-                        # at L = 4), plus 1 past L = 4
-                        if nonlow > a[1] + 1:
-                            upto = end
-                        elif length == 4:
-                            upto = min(end, top)
-                        else:
-                            upto = end if a[2] + 1 < top else j
-                        for j in range(j, upto):
-                            a[t] = j
-                            close(t + 1, t, used + s, c, w_s + base[j], reach + s)
+                            if j == low:  # keeps the period
+                                if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c):
+                                    close(t + 1, period, used + s, c, w_s + base[j], reach + s)
+                            # any other j makes the period t, so a[1] is the low bead
+                            # at L - 1, and its last bead is at least a[2], plus 1
+                            # unless L = 4, where a[2] is j itself
+                            elif nonlow > a[1] + 1 or a[2] + (length > 4) < top:
+                                close(t + 1, t, used + s, c, w_s + base[j], reach + s)
                         j = end
 
         def low_spans(t: int, period: int, rest: int, colour: int) -> list[range]:

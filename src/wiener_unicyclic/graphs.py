@@ -125,11 +125,6 @@ class Graph:
             adj[perm[old]] = mask
         return Graph(self.n, tuple(adj))
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return sum(_bfs_layers(self.adj, 1)) == (1 << self.n) - 1
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -314,7 +309,7 @@ def bipartition(g: Graph) -> Bipartition | None:
                 return None
     a = frozenset(bits(even))
     b = frozenset(bits(odd))
-    if len(a) < len(b) or (len(a) == len(b) and 0 in a):
+    if len(a) <= len(b):  # a holds vertex 0
         return Bipartition(a, b)
     return Bipartition(b, a)
 
@@ -387,4 +382,4 @@ def cycle_vertices(g: Graph) -> list[int]:
 
 def is_unicyclic(g: Graph) -> bool:
     """True iff the graph is connected with exactly one cycle (|E| = |V|)."""
-    return g.n > 0 and g.num_edges == g.n and g.is_connected()
+    return g.n > 0 and g.num_edges == g.n and sum(_bfs_layers(g.adj, 1)) == (1 << g.n) - 1

@@ -335,6 +335,25 @@ class TestBipartition:
         with pytest.raises(DisconnectedGraphError):
             bipartition(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_path(2),
+            build_path(6),
+            build_cycle(8),
+            Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 5)]),
+        ],
+        ids=["p2", "p6", "c8", "c4-two-adjacent-pendants"],
+    )
+    def test_tie_puts_vertex_zero_first(self, g):
+        rng = random.Random(g.n)
+        for _ in range(30):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            bp = bipartition(g.relabel(perm))
+            assert bp is not None and bp.p == bp.q
+            assert 0 in bp.part_p
+
 
 class TestUnicyclic:
     def test_cycle(self):
@@ -342,6 +361,14 @@ class TestUnicyclic:
 
     def test_tree(self):
         assert not is_unicyclic(build_path(5))
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(2, []), build_path(2)],
+        ids=["no-vertices", "one-vertex", "two-vertices", "one-edge"],
+    )
+    def test_fewer_than_three_vertices(self, g):
+        assert not is_unicyclic(g)
 
     def test_two_disjoint_triangles(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
