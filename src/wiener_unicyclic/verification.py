@@ -17,12 +17,17 @@ decided on bracelet codes, with no canonical form.
 ``lemma_harness`` stress-tests the two coalescence facts everything
 else leans on: the exact Wiener decomposition of a one-vertex
 identification, and strict monotonicity of the Wiener index in the
-transmission of the identification point.
+transmission of the identification point. Its random graphs come from
+``random_tree``, a linear-time Pruefer decode, and
+``random_connected_graph``, which finds its closing edge by counting
+non-edges rather than listing them. Every bounded draw goes through one
+helper that makes the ``getrandbits`` calls ``randrange`` makes, so for
+``random.Random`` (not for a subclass that draws another way) each seed
+gives the graphs and the stream that ``randrange`` and ``randint`` gave.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import asdict, dataclass
 
@@ -41,6 +46,7 @@ from .families import (
 )
 from .graph6 import graph6_encode
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _peel_leaves,
     bipartition,
@@ -289,40 +295,89 @@ class HarnessReport:
         return _record(self)
 
 
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, drawn by the same ``getrandbits`` calls without its checks.
+
+    This is the ``_randbelow_with_getrandbits`` path that ``random.Random``
+    takes on CPython 3.10 to 3.13: k = n.bit_length() bits, redrawn while
+    they reach n. So the value and the state after it equal ``randrange``'s
+    for ``random.Random``; a subclass that overrides ``random`` but not
+    ``getrandbits`` draws ``randrange`` another way. Raises ``ValueError``
+    for n < 1 before any draw.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
-    """Uniform random labeled tree on n vertices (Pruefer decoding)."""
+    """Uniform random labeled tree on n vertices, by Pruefer decoding.
+
+    The Pruefer sequence is drawn as ``rng.randrange(n)`` would draw it,
+    so for ``random.Random`` the stream, the tree and the state after it
+    are those of ``randrange`` and a smallest-leaf-first heap decode. The
+    decode is linear: a pointer walks up to the next unused leaf, and a
+    vertex whose last occurrence falls below the pointer becomes the next
+    leaf at once.
+    """
     if n < 1:
         raise ValueError("tree needs at least one vertex")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     if n <= 2:
         return build_path(n)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = [_randbelow(rng, n) for _ in range(n - 2)]
     count = [0] * n
     for x in seq:
         count[x] += 1
-    edges = []
-    leaves = [v for v in range(n) if count[v] == 0]
-    heapq.heapify(leaves)
+    adj = [0] * n
+    leaf = ptr = count.index(0)
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        adj[leaf] |= 1 << x
+        adj[x] |= 1 << leaf
         count[x] -= 1
-        if count[x] == 0:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Graph.from_edges(n, edges)
+        if count[x] == 0 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while count[ptr]:
+                ptr += 1
+            leaf = ptr
+    # n - 1 is never the smaller of two leaves, so it is one of the last two
+    adj[leaf] |= 1 << (n - 1)
+    adj[n - 1] |= 1 << leaf
+    return Graph(n, tuple(adj))
 
 
 def random_connected_graph(rng: random.Random, n_min: int = 2, n_max: int = 12) -> Graph:
-    """Random tree, with one random cycle-closing edge half the time."""
-    n = rng.randint(n_min, n_max)
+    """Random tree, with one random cycle-closing edge half the time.
+
+    Draws what ``rng.randint(n_min, n_max)``, ``random_tree``,
+    ``rng.random()`` and ``rng.randrange`` over the list of non-edges in
+    row order would draw, so for ``random.Random`` the graph and the state
+    after it are theirs; the list itself is never built. A tree on n
+    vertices misses (n - 1)(n - 2) / 2 pairs, and the i-th is found from
+    the count of each row's missing higher neighbours.
+    """
+    n = n_min + _randbelow(rng, n_max - n_min + 1)
     g = random_tree(rng, n)
     if n >= 3 and rng.random() < 0.5:
-        non_edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
-        ]
-        # a tree on n >= 3 vertices always misses a pair, so non_edges is not empty
-        u, v = non_edges[rng.randrange(len(non_edges))]
-        g = g.with_edge(u, v)
+        i = _randbelow(rng, (n - 1) * (n - 2) // 2)
+        for u in range(n - 1):
+            # bit v - u - 1 is set when the pair (u, v), v > u, is missing
+            missing = ~g.adj[u] >> (u + 1) & ((1 << (n - u - 1)) - 1)
+            count = missing.bit_count()
+            if i < count:
+                break
+            i -= count
+        for _ in range(i):
+            missing &= missing - 1
+        g = g.with_edge(u, u + (missing & -missing).bit_length())
     return g
 
 
@@ -346,12 +401,12 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
         bad.append(LemmaCounterexample(lemma, graph6_encode(g), graph6_encode(h), u, v, w, detail))
 
     while identity_checked < trials or mono_checked < trials:
-        n1 = rng.randint(2, 12)
-        n2 = rng.randint(2, min(12, 15 - n1))
+        n1 = 2 + _randbelow(rng, 11)
+        n2 = 2 + _randbelow(rng, min(12, 15 - n1) - 1)
         g = random_connected_graph(rng, n1, n1)
         h = random_connected_graph(rng, n2, n2)
-        u = rng.randrange(n1)
-        w = rng.randrange(n2)
+        u = _randbelow(rng, n1)
+        w = _randbelow(rng, n2)
         tg = transmissions(g)
         w_at_u = None  # W(coalesce(g, u, h, w)), which both checks need
         if identity_checked < trials:
@@ -362,7 +417,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
                 flag("coalescence-identity", u, None, f"W={w_at_u} but decomposition gives {rhs}")
             identity_checked += 1
         if mono_checked < trials:
-            v = rng.randrange(n1)
+            v = _randbelow(rng, n1)
             tu, tv = tg[u], tg[v]
             if tu == tv:
                 mono_skipped += 1

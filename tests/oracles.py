@@ -9,16 +9,21 @@ oracles build their graphs without the library's enumerator: one from
 edge. Only canonical_form is shared, since the point of those oracles is
 to compare class sets. ``structural_wiener`` sums the structural Wiener
 formula over every pair of cycle vertices at once, where the enumerator
-adds each bead's terms as it places it.
+adds each bead's terms as it places it. The two random-graph routes draw
+through ``randrange`` and ``randint``, decode Pruefer sequences with a
+heap of leaves, and pick a closing edge from the list of every non-edge;
+the library's generators must return the same graphs from the same stream.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import random
 
 import networkx as nx
 
-from wiener_unicyclic import Graph, canonical_form
+from wiener_unicyclic import Graph, build_path, canonical_form
 
 INF = float("inf")
 
@@ -74,6 +79,42 @@ def structural_wiener(table, ids) -> int:
     for k in range(1, half):
         total += k * sum(sizes[i] * sizes[i - k] for i in range(length))
     return total + half * sum(sizes[i] * sizes[i + half] for i in range(half))
+
+
+def heap_random_tree(rng: random.Random, n: int) -> Graph:
+    """Pruefer decoding with ``randrange`` draws and a heap of leaves."""
+    if n < 1:
+        raise ValueError("tree needs at least one vertex")
+    if n <= 2:
+        return build_path(n)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    count = [0] * n
+    for x in seq:
+        count[x] += 1
+    edges = []
+    leaves = [v for v in range(n) if count[v] == 0]
+    heapq.heapify(leaves)
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        count[x] -= 1
+        if count[x] == 0:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph.from_edges(n, edges)
+
+
+def listed_random_connected_graph(rng: random.Random, n_min: int = 2, n_max: int = 12) -> Graph:
+    """``heap_random_tree`` plus, half the time, one edge drawn from the listed non-edges."""
+    n = rng.randint(n_min, n_max)
+    g = heap_random_tree(rng, n)
+    if n >= 3 and rng.random() < 0.5:
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if not g.adj[u] >> v & 1
+        ]
+        u, v = non_edges[rng.randrange(len(non_edges))]
+        g = g.with_edge(u, v)
+    return g
 
 
 def dfs_two_coloring(g: Graph) -> tuple[set[int], set[int]] | None:

@@ -1,9 +1,12 @@
 """Extremal reports, structural consequences, lemma harness, table."""
 
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
+from oracles import heap_random_tree, listed_random_connected_graph
 
 from wiener_unicyclic import (
     Graph,
@@ -17,6 +20,8 @@ from wiener_unicyclic import (
     extremal_table,
     graph6_decode,
     lemma_harness,
+    random_connected_graph,
+    random_tree,
     structural_checks,
     verify,
     verify_both,
@@ -231,6 +236,84 @@ class TestLemmaHarness:
         assert record["identity_checked"] == record["monotonicity_checked"] == 2
         printed = [c["lemma"] for c in record["counterexamples"]]
         assert sorted(printed) == ["coalescence-identity"] * 2 + ["transplant-monotonicity"] * 2
+
+
+class ScriptedRandom(random.Random):
+    """Returns the scripted values from ``getrandbits``, one per call."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
+
+
+class TestRandomGenerators:
+    """The generators draw the stream that ``randrange`` and ``randint`` would."""
+
+    @staticmethod
+    def twins(seed):
+        return random.Random(seed), random.Random(seed)
+
+    def test_draw_equals_randrange(self):
+        sizes = list(range(1, 301)) + [2**k + d for k in range(1, 41) for d in (-1, 0, 1)]
+        for n in sizes:
+            ours, theirs = self.twins(n)
+            for _ in range(20):
+                assert verification._randbelow(ours, n) == theirs.randrange(n), n
+                assert ours.getstate() == theirs.getstate(), n
+
+    @pytest.mark.parametrize("n", [0, -1, -64])
+    def test_draw_rejects_an_empty_range_before_drawing(self, n):
+        # a scripted stream with no values fails any draw at once, where a
+        # draw below n < 1 from a real stream would never end
+        with pytest.raises(ValueError):
+            verification._randbelow(ScriptedRandom(()), n)
+
+    def test_random_tree_matches_the_heap_decode(self):
+        for n in range(1, 65):
+            ours, theirs = self.twins(n)
+            for _ in range(10):
+                assert random_tree(ours, n).adj == heap_random_tree(theirs, n).adj, n
+                assert ours.getstate() == theirs.getstate(), n
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_random_tree_decodes_every_pruefer_sequence(self, n):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            ours, theirs = ScriptedRandom(seq), ScriptedRandom(seq)
+            assert random_tree(ours, n).adj == heap_random_tree(theirs, n).adj
+
+    def test_random_connected_graph_matches_the_listed_non_edges(self):
+        for n_min, n_max in [(2, 12), (1, 15)] + [(n, n) for n in range(1, 65)]:
+            ours, theirs = self.twins(n_min * 100 + n_max)
+            for _ in range(20):
+                g = random_connected_graph(ours, n_min, n_max)
+                assert g.adj == listed_random_connected_graph(theirs, n_min, n_max).adj
+                assert ours.getstate() == theirs.getstate(), (n_min, n_max)
+
+    def test_long_seeded_sequences_match(self):
+        ours, theirs = self.twins(20261019)
+        sizes = random.Random(1)
+        for _ in range(3000):
+            n = sizes.randint(1, 64)
+            assert random_tree(ours, n).adj == heap_random_tree(theirs, n).adj
+        assert ours.getstate() == theirs.getstate()
+        ours, theirs = self.twins(20261020)
+        for _ in range(3000):
+            g = random_connected_graph(ours, 1, 15)
+            assert g.adj == listed_random_connected_graph(theirs, 1, 15).adj
+        assert ours.getstate() == theirs.getstate()
+
+    def test_empty_order_range_raises(self):
+        # randint(5, 3) raises before it draws
+        with pytest.raises(ValueError):
+            random_connected_graph(ScriptedRandom(()), 5, 3)
+
+    @pytest.mark.parametrize("n", [0, -3, 65])
+    def test_random_tree_rejects_bad_orders(self, n):
+        with pytest.raises(ValueError):
+            random_tree(random.Random(1), n)
 
 
 class TestExtremalTable:
