@@ -29,6 +29,18 @@ bracelets directly and never compares two graphs:
   once per search. Position L - 2 looks them up per odd-depth count of
   the bead it places, so position L - 1 is entered only where a last
   bead fits.
+* **Last-bead bound.** Let a[1..m] be a palindrome, m = 1 included. The
+  rotation of the reversal read back from a[m] starts a[1..m], a[L], so
+  the reversal test rejects every sequence with a[L] < a[m + 1]. In a
+  prenecklace a shorter palindromic prefix is a suffix of a longer one,
+  so the bead after the longer is at least the bead after the shorter:
+  the longest palindromic prefix closed so far sets the bound, and the
+  recursion carries that a[m + 1] down, with -1 while the head a[1..t - 1]
+  is itself a palindrome. Ids run by size, so each bead at t leaves room
+  for size[a[m + 1]] at L, in place of size[a[1]]; after a palindromic
+  head the last bead is at least the bead at t, which so takes at most
+  half the room the two share. Only subtrees that hold no bracelet are
+  skipped, so the class stream keeps its order.
 * **Colour bound.** Every bead at an odd cycle position (counting from 1)
   adds between 1 (its root) and its size to the colour count of cycle
   vertex 0, every bead at an even position between 0 and its size - 1.
@@ -268,15 +280,24 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
         # sizes[1:t], pair position i < t with its distance d_C(t + 1 - i) to t + 1
         hops = [min(k, length - k) for k in range(length - 1, 0, -1)]
 
-        def extend(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
+        def extend(t: int, period: int, used: int, colour: int, w: int, pull: int, least: int) -> None:
             # colour counts the vertices coloured like cycle vertex 0; w sums
             # n * D - Q over beads 1..t-1 and s_i * s_j * d_C(i, j) over their
-            # pairs, and pull sums s_i * d_C(t - i) over them
+            # pairs, and pull sums s_i * d_C(t - i) over them; least is the
+            # last bead's lower bound a[m + 1] for the longest palindrome
+            # a[1..m], m < t - 1, or -1 when a[1..t - 1] is one itself
             low = a[t - period]
             rest = n - used
-            # every later bead is at least a[1], so at least as large; hence
-            # most <= n - (length - 1) * size[a[1]] <= n - 3, the table's reach
-            most = rest // length if t == 1 else rest - (length - t) * size[a[1]]
+            if t == 1:  # every bead is at least a[1], so at least as large
+                most = rest // length
+            else:
+                # Last-bead bound: beads t+1..L-1 are at least as large as
+                # a[1], and the last bead is at least id least, or at least
+                # this bead when least is -1, which so takes at most half the
+                # room the two share. So most <= n - (length - 1) * size[a[1]]
+                # <= n - 3, the table's reach.
+                room = rest - (length - t - 1) * size[a[1]]
+                most = room // 2 if least < 0 else room - size[least]
             # Colour bound: beads t+1..length add to colour at least one root
             # per odd position and at most their size less one root per even
             # position, so a bead of size s here may add c only if some target
@@ -307,6 +328,8 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                                 colour + (s - odd[j] if flip else odd[j]),
                                 w_s + base[j],
                                 reach + s,
+                                # a palindrome a[1..t] bounds the last bead by a[t + 1]
+                                -1 if j == a[1] and a[1 : t + 1] == a[t:0:-1] else j if least < 0 else least,
                             )
                         continue
                     # t = L - 2, an even position: one odd count at a time, call
@@ -354,7 +377,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     beads = ids if ids.start > low else range(low + 1, ids.stop)
                     _append_bracelets(head, beads, spans, w + s * pull + (rest - s) * (reach + s), base, out)
 
-        extend(1, 1, 0, 0, 0, 0)
+        extend(1, 1, 0, 0, 0, 0, -1)
         # extend reaches itself through its closure; unbinding it breaks the
         # cycle, which would keep out alive until a gc pass
         del extend

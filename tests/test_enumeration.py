@@ -147,12 +147,22 @@ def test_odd_count_bounds_read_as_clamped():
 
 def test_class_stream_is_every_bracelet_in_order():
     # the pruned search against a brute-force bracelet list over the same ids,
-    # at every pair a table run up to p + q = 12 searches
+    # at every pair a table run up to p + q = 12 searches; and the premise of
+    # the search's last-bead bound on every bracelet of that list: after a
+    # palindromic prefix a[1..m], m <= L - 2, the last bead is at least a[m + 1]
+    prefixes = 0
     for n in range(4, 13):
         table = RootedTrees(n - 3)
         for p in range(2, n // 2 + 1):
             mine = [ids for _, ids in unicyclic_classes(EnumSpec(p, n - p))]
-            assert mine == bracelet_stream(p, n - p, table), (p, n - p)
+            brute = bracelet_stream(p, n - p, table)
+            assert mine == brute, (p, n - p)
+            for seq in brute:
+                for m in range(1, len(seq) - 1):
+                    if seq[:m] == seq[m - 1 :: -1]:
+                        prefixes += 1
+                        assert seq[-1] >= seq[m], (seq, m)
+    assert prefixes > 0
 
 
 def test_stream_does_not_depend_on_table_size():
