@@ -29,6 +29,14 @@ bracelets directly and never compares two graphs:
   once per search. Position L - 2 looks them up per odd-depth count of
   the bead it places, so position L - 1 is entered only where a last
   bead fits.
+* **Reversal test from the head.** Only a rotation of the reversal that
+  starts with a[1], the least bead, can be below a necklace, and the one
+  read back from a bead a[t] = a[1] starts a[t..1]. So when the recursion
+  places a[1] again at t <= L - 2 it compares a[t..1] with a[1..t] once:
+  if smaller, that rotation is below every sequence with this head and
+  the bead is skipped; if equal, a[1..t] is a palindrome (below). Position
+  L - 1 decides a bead equal to a[1] the same way, once per bead, and a
+  last bead equal to a[1] makes the necklace constant, which passes.
 * **Last-bead bound.** Let a[1..m] be a palindrome, m = 1 included. The
   rotation of the reversal read back from a[m] starts a[1..m], a[L], so
   the reversal test rejects every sequence with a[L] < a[m + 1]. In a
@@ -39,8 +47,13 @@ bracelets directly and never compares two graphs:
   is itself a palindrome. Ids run by size, so each bead at t leaves room
   for size[a[m + 1]] at L, in place of size[a[1]]; after a palindromic
   head the last bead is at least the bead at t, which so takes at most
-  half the room the two share. Only subtrees that hold no bracelet are
-  skipped, so the class stream keeps its order.
+  half the room the two share. Position L - 1 clips every last-bead span
+  to start at the bound, once per head a[1..L - 2], or at each bead
+  a[L - 1] when that head is itself a palindrome. Every rotation that
+  starts in the head is then at or above the sequence, and above it
+  unless the last bead equals the bound, so only the least last bead
+  after each bead at L - 1 runs the test. Only subtrees and last beads
+  that hold no bracelet are skipped, so the class stream keeps its order.
 * **Colour bound.** Every bead at an odd cycle position (counting from 1)
   adds between 1 (its root) and its size to the colour count of cycle
   vertex 0, every bead at an even position between 0 and its size - 1.
@@ -56,8 +69,9 @@ bracelets directly and never compares two graphs:
   over the beads before it; the pull at t + 1 is one sum per call plus
   s. Position L - 1 is entered only where a last bead fits, and only a
   sequence drawn from a non-empty last-bead range is built; only the
-  rotations of its reversal that start with its first (least) bead,
-  found by ``tuple.index``, are compared with it.
+  least last bead of each bead at L - 1 is compared with the rotations of
+  its reversal that start with its first (least) bead, found by
+  ``tuple.index``.
 * **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
   unicyclic graph back to the tree ids the search emits for its class.
   The leaf peel that finds the cycle also yields the hanging trees, and
@@ -121,7 +135,10 @@ class RootedTrees:
     A tree of size s > 1 is grown once, from the smaller tree t that is
     itself without its last child c: |c| = s - |t|, and c's id is at least
     every child id of t. Its columns are children(t) + (c,),
-    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2.
+    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2. The
+    trees of size s are grown per size pair (|t|, |c|): c's terms are
+    listed once per pair, and t's last child, kept per id while the table
+    is built, is where its c start.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -139,22 +156,30 @@ class RootedTrees:
         self.bounds: list[list[int]] = [[0]]
         kids, size, odd, bounds = self.children, self.size, self.odd, self.bounds
         dsum, qsum = self.depth_sum, self.square_sum
+        last: list[int] = []  # last[t]: the id of t's last child, 0 for the single vertex
         for s in range(1, max_size + 1):
             first = len(size)
             bounds.append([first])  # first(s) while the trees of size s are built
-            # (odd, children, D, Q) of the single vertex, or of each smaller tree
-            # t plus a last child c of size s - |t|, sorted by (odd, children)
-            grown = [(0, (), 0, 0)] if s == 1 else sorted(
-                (
-                    odd[t] + size[c] - odd[c],
-                    kids[t] + (c,),
-                    dsum[t] + dsum[c] + size[c],
-                    qsum[t] + qsum[c] + size[c] ** 2,
-                )
-                for t in range(first)
-                for c in range(max((bounds[s - size[t]][0], *kids[t][-1:])), bounds[s - size[t] + 1][0])
-            )
-            for column, values in zip((odd, kids, dsum, qsum), zip(*grown)):
+            # (odd, children, D, Q, last child) of the single vertex, or of each
+            # smaller tree t plus a last child c of size r = s - |t|, sorted by
+            # (odd, children); c's terms r - odd, D + r and Q + r^2 are
+            # computed once per (|t|, r)
+            if s == 1:
+                grown = [(0, (), 0, 0, 0)]
+            else:
+                grown = []
+                for r in range(1, s):
+                    lo, hi = bounds[r][0], bounds[r + 1][0]
+                    c_odd = [r - o for o in odd[lo:hi]]
+                    c_dsum = [d + r for d in dsum[lo:hi]]
+                    c_qsum = [x + r * r for x in qsum[lo:hi]]
+                    for t in range(bounds[s - r][0], bounds[s - r + 1][0]):
+                        o, k, d, x = odd[t], kids[t], dsum[t], qsum[t]
+                        for c in range(last[t] if last[t] > lo else lo, hi):
+                            i = c - lo
+                            grown.append((o + c_odd[i], k + (c,), d + c_dsum[i], x + c_qsum[i], c))
+                grown.sort()
+            for column, values in zip((odd, kids, dsum, qsum, last), zip(*grown)):
                 column.extend(values)
             size.extend([s] * len(grown))
             row = [bisect_left(odd, o, first) for o in range(s + 1)]
@@ -239,6 +264,12 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                 spans.append(range(lo, hi))
         return spans
 
+    def clip(spans: list[range], bound: int) -> list[range]:
+        # ascending spans cut to start at bound, without the empty ones
+        if spans[0].start >= bound:
+            return spans
+        return [span if span.start >= bound else range(bound, span.stop) for span in spans if span.stop > bound]
+
     def fits(rest: int, colour: int, first: int) -> tuple[int, int, list[tuple[int, range, list[range]]]]:
         # What position L - 1 can close with, when the last two beads share
         # rest vertices, colour counts cycle vertex 0's colour so far and
@@ -321,6 +352,13 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     if t < length - 2:
                         for j in range(j, stop):
                             a[t] = j
+                            bound = j if least < 0 else least
+                            if j == a[1]:  # head prune: the reversal read back from a[t] starts a[t..1]
+                                ahead, back = a[1 : t + 1], a[t:0:-1]
+                                if back < ahead:
+                                    continue
+                                if back == ahead:  # a palindrome a[1..t] bounds the last bead by a[t + 1]
+                                    bound = -1
                             extend(
                                 t + 1,
                                 period if j == low else t,
@@ -328,8 +366,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                                 colour + (s - odd[j] if flip else odd[j]),
                                 w_s + base[j],
                                 reach + s,
-                                # a palindrome a[1..t] bounds the last bead by a[t + 1]
-                                -1 if j == a[1] and a[1 : t + 1] == a[t:0:-1] else j if least < 0 else least,
+                                bound,
                             )
                         continue
                     # t = L - 2, an even position: one odd count at a time, call
@@ -340,42 +377,62 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                         nonlow, top, _ = lasts.get(key) or fits(*key)
                         for j in range(j, end):
                             a[t] = j
-                            if j == low:  # keeps the period
-                                if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c):
-                                    close(t + 1, period, used + s, c, w_s + base[j], reach + s)
+                            bound = j if least < 0 else least
+                            if j == low:  # keeps the period; only it can equal a[1]
+                                if j == a[1]:  # head prune, as above
+                                    ahead, back = a[1 : t + 1], a[t:0:-1]
+                                    if back < ahead:
+                                        continue
+                                    if back == ahead:
+                                        bound = -1
+                                if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c, bound):
+                                    close(t + 1, period, used + s, c, w_s + base[j], reach + s, bound)
                             # any other j makes the period t, so a[1] is the low bead
                             # at L - 1, and its last bead is at least a[2], plus 1
                             # unless L = 4, where a[2] is j itself
                             elif nonlow > a[1] + 1 or a[2] + (length > 4) < top:
-                                close(t + 1, t, used + s, c, w_s + base[j], reach + s)
+                                close(t + 1, t, used + s, c, w_s + base[j], reach + s, bound)
                         j = end
 
-        def low_spans(t: int, period: int, rest: int, colour: int) -> list[range]:
+        def low_spans(t: int, period: int, rest: int, colour: int, least: int) -> list[range]:
             # The last beads after low = a[t - period] at t = L - 1, which keeps
             # the period, so FKM bounds the last bead by a[L - period], plus 1
-            # unless the period divides L; the empty spans are left out.
+            # unless the period divides L, and the last-bead bound by least, or
+            # by low itself after a palindromic head; the empty spans are left out.
             low = a[t - period]
             s = size[low]
             if s > rest - size[a[1]]:  # no last bead as large as a[1] is left
                 return []
             a[t] = low  # a period of 1 reads a[t]
             above = a[length - period] + (length % period > 0)
-            return last_beads(bounds[rest - s], colour + s - odd[low], above)
+            if least < 0:
+                least = low
+            return last_beads(bounds[rest - s], colour + s - odd[low], above if above > least else least)
 
-        def close(t: int, period: int, used: int, colour: int, w: int, pull: int) -> None:
+        def close(t: int, period: int, used: int, colour: int, w: int, pull: int, least: int) -> None:
             # t = length - 1 places the last two beads: the low bead, then the
             # later beads of each odd-count group in fits, in id order. A bead
             # of size s here leaves r = rest - s vertices for the last one.
+            # Every last bead is at least least, or at least the bead j before
+            # it when least is -1: the head a[1..L - 2] is then a palindrome,
+            # so the clip is made per j.
             low, rest, head = a[t - period], n - used, tuple(a[1:t])
             reach = sum(map(mul, sizes[1:t], hops))  # the pull at length, less s
-            spans = low_spans(t, period, rest, colour)
+            spans = low_spans(t, period, rest, colour, least)
             if spans:
                 s = size[low]
                 _append_bracelets(head, (low,), spans, w + s * pull + (rest - s) * (reach + s), base, out)
             for s, ids, spans in lasts[rest, colour, a[1]][2]:
                 if ids.stop > low + 1:
                     beads = ids if ids.start > low else range(low + 1, ids.stop)
-                    _append_bracelets(head, beads, spans, w + s * pull + (rest - s) * (reach + s), base, out)
+                    w_s = w + s * pull + (rest - s) * (reach + s)
+                    if least >= 0:
+                        if spans[-1].stop > least:
+                            _append_bracelets(head, beads, clip(spans, least), w_s, base, out)
+                        continue
+                    for j in beads:
+                        if spans[-1].stop > j:
+                            _append_bracelets(head, (j,), clip(spans, j), w_s, base, out)
 
         extend(1, 1, 0, 0, 0, 0, -1)
         # extend reaches itself through its closure; unbinding it breaks the
@@ -392,20 +449,30 @@ def _append_bracelets(
 
     W is w + base[j] + base[k]. Each is a necklace, so only a rotation of
     its reversal that starts with head[0], its least bead, can be less.
+    The search has decided every such rotation that starts in the head, and
+    started the spans at the last-bead bound; a j equal to head[0] is
+    decided here by the rotation read back from it, once per j, and a k
+    equal to head[0] makes the necklace constant. So only the least k,
+    spans[0][0], can tie, and only it is compared with those rotations.
     """
-    first, back, last = head[0], head[::-1], len(head) + 1
+    first, back, last, tie = head[0], head[::-1], len(head) + 1, spans[0][0]
     for j in beads:
         prefix, back_j, w_j = head + (j,), (j,) + back, w + base[j]
+        if j == first and back_j < prefix:
+            continue
         for span in spans:
             for k in span:
-                seq, rev = prefix + (k,), (k,) + back_j
-                i = -1
-                while i < last:  # each rotation of rev that starts with head[0]
-                    i = rev.index(first, i + 1)
-                    if rev[i:] + rev[:i] < seq:
-                        break
-                else:
-                    out.append((w_j + base[k], seq))
+                seq = prefix + (k,)
+                if k == tie:
+                    rev, i = (k,) + back_j, -1
+                    while i < last:  # each rotation of rev that starts with head[0]
+                        i = rev.index(first, i + 1)
+                        if rev[i:] + rev[:i] < seq:
+                            break
+                    else:
+                        out.append((w_j + base[k], seq))
+                    continue
+                out.append((w_j + base[k], seq))
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[tuple[Graph, int]]:
