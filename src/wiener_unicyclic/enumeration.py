@@ -455,7 +455,7 @@ def _append_bracelets(
     equal to head[0] makes the necklace constant. So only the least k,
     spans[0][0], can tie, and only it is compared with those rotations.
     """
-    first, back, last, tie = head[0], head[::-1], len(head) + 1, spans[0][0]
+    first, back, tie = head[0], head[::-1], spans[0][0]
     for j in beads:
         prefix, back_j, w_j = head + (j,), (j,) + back, w + base[j]
         if j == first and back_j < prefix:
@@ -463,16 +463,18 @@ def _append_bracelets(
         for span in spans:
             for k in span:
                 seq = prefix + (k,)
-                if k == tie:
-                    rev, i = (k,) + back_j, -1
-                    while i < last:  # each rotation of rev that starts with head[0]
-                        i = rev.index(first, i + 1)
-                        if rev[i:] + rev[:i] < seq:
-                            break
-                    else:
-                        out.append((w_j + base[k], seq))
-                    continue
-                out.append((w_j + base[k], seq))
+                if k != tie or not _reversal_below(seq, (k,) + back_j, first):
+                    out.append((w_j + base[k], seq))
+
+
+def _reversal_below(seq: tuple[int, ...], rev: tuple[int, ...], first: int) -> bool:
+    """Whether a rotation of ``rev`` that starts with ``first`` is below ``seq``; ``rev`` ends with ``first``."""
+    i, last = -1, len(rev) - 1
+    while i < last:
+        i = rev.index(first, i + 1)
+        if rev[i:] + rev[:i] < seq:
+            return True
+    return False
 
 
 def enumerate_unicyclic_bipartite(spec: EnumSpec) -> Iterator[tuple[Graph, int]]:
