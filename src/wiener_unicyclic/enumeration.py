@@ -137,8 +137,8 @@ class RootedTrees:
     every child id of t. Its columns are children(t) + (c,),
     odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2. The
     trees of size s are grown per size pair (|t|, |c|): c's terms are
-    listed once per pair, and t's last child, kept per id while the table
-    is built, is where its c start.
+    listed once per pair, and c starts at t's last child, kept per id
+    while the table is built.
     """
 
     def __init__(self, max_size: int) -> None:
