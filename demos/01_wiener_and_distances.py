@@ -3,13 +3,14 @@
 The Wiener index of a connected graph is the sum of shortest-path
 distances over all unordered vertex pairs, or equivalently half the sum
 of the per-vertex transmissions. This script computes both on a few
-named families and prints a small distance matrix.
+named families and prints every vertex's transmission on a small onion.
 """
 
 from wiener_unicyclic import (
-    all_pairs_distances,
+    OnionParams,
     bipartition,
     build_cycle,
+    build_onion,
     build_path,
     build_star,
     transmission,
@@ -28,10 +29,10 @@ for name, g in [
     print(f"{name}: n={g.n} W={wiener_index(g)} transmissions={list(ts)} parts={parts}")
 
 print()
-print("distance matrix of C_6:")
-dm = all_pairs_distances(build_cycle(6))
-for row in dm.rows:
-    print("  " + " ".join(str(d) for d in row))
+print("transmissions of the onion On(1, 2, 1), by vertex:")
+onion = build_onion(OnionParams(1, 2, 1))
+for v, t in enumerate(transmissions(onion)):
+    print(f"  t({v}) = {t}")
 
 print()
 print("the identity 2*W = sum of transmissions, on C_6:")

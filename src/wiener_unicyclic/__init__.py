@@ -35,12 +35,9 @@ from .families import (
 from .graph6 import Graph6ParseError, graph6_decode, graph6_encode, write_graph6_file
 from .graphs import (
     MAX_VERTICES,
-    UNREACHABLE,
     Bipartition,
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     bipartition,
     cycle_vertices,
     is_unicyclic,
@@ -71,7 +68,6 @@ __all__ = [
     "BroomParams",
     "CANONICAL_MAX_VERTICES",
     "DisconnectedGraphError",
-    "DistanceMatrix",
     "EnumSpec",
     "ExtremalReport",
     "Graph",
@@ -82,8 +78,6 @@ __all__ = [
     "OptimizerWitness",
     "StructuralCheck",
     "TableRow",
-    "UNREACHABLE",
-    "all_pairs_distances",
     "bipartition",
     "build_broom",
     "build_cycle",

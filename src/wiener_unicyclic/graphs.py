@@ -3,17 +3,19 @@
 Vertices are the integers ``0..n-1`` and the neighbourhood of each vertex
 is stored as a single int bitmask. One leaf peel removes vertices of
 degree at most one until only the 2-core is left (the cycle of a
-unicyclic graph, nothing of a tree) and records the neighbour each peeled
-vertex hung from. Two readers share it. The transmissions kernel, which
-gives every transmission and through them the Wiener index, grows
-distance balls on the 2-core only, each seeded with the trees hanging
-from its vertex, and reroots those trees in one walk back out (see
-``transmissions``). ``_peel_leaves`` reads a unicyclic graph: the cycle,
-which ``cycle_vertices`` returns, and the trees hanging off it, as each
+unicyclic graph, nothing of a tree). In the same loop it ORs each peeled
+vertex's block (itself and the vertices peeled below it) into the block
+of the neighbour it hung from, and lists, in peel order, each vertex with
+that parent and its block's size. Two readers share that list. The
+transmissions kernel, which gives every transmission and through them
+the Wiener index, reads its depth sum, root check and rerooting from it,
+and grows distance balls on the 2-core only, each seeded with its
+vertex's block (see ``transmissions``). ``_peel_leaves`` reads the
+parents and the order for a unicyclic graph: the cycle, which
+``cycle_vertices`` returns, and the trees hanging off it, as each
 vertex's children, which bracelet codes and the broom check read.
-Distances from one vertex, or from a set of vertices, come from one
-bitmask BFS helper, which lists the vertices at each distance: it serves
-distance rows, connectivity and bipartition. Everything is a pure
+Connectivity and bipartition come from one bitmask BFS helper, which
+lists the vertices at each distance from a set. Everything is a pure
 function; operations that would change a graph return a new one instead.
 """
 
@@ -24,8 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
-#: Marker used in DistanceMatrix entries for vertex pairs with no path.
-UNREACHABLE = -1
+#: ``_UNIT[v]`` is the singleton bitmask of vertex v.
+_UNIT = tuple(1 << v for v in range(MAX_VERTICES))
 
 
 class DisconnectedGraphError(ValueError):
@@ -127,17 +129,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path hop counts; ``UNREACHABLE`` marks no path."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-
-@dataclass(frozen=True)
 class Bipartition:
     """The two colour classes of a connected bipartite graph, smaller first."""
 
@@ -174,18 +165,6 @@ def _bfs_layers(adj: Sequence[int], starts: int) -> Iterator[int]:
         seen |= frontier
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; disconnected pairs get ``UNREACHABLE``."""
-    rows = []
-    for s in range(g.n):
-        row = [UNREACHABLE] * g.n
-        for d, layer in enumerate(_bfs_layers(g.adj, 1 << s)):
-            for v in bits(layer):
-                row[v] = d
-        rows.append(tuple(row))
-    return DistanceMatrix(g.n, tuple(rows))
-
-
 def transmission(g: Graph, v: int) -> int:
     """Sum of distances from ``v`` to every other vertex, read from ``transmissions``."""
     g.check_vertex(v)
@@ -198,7 +177,10 @@ def transmissions(g: Graph) -> tuple[int, ...]:
     The leaf peel hangs every vertex outside the 2-core C from a parent.
     The block of a vertex v is v together with every peeled vertex that
     hangs from it, directly or not; s(v) is its size and depth(x) the
-    number of edges from x down to C.
+    number of edges from x down to C. ``_peel`` gives it all in one pass:
+    the list of (x, parent(x), s(x)) in peel order, every block, and C.
+    The sum of s(x), the root check and the walk back out below read
+    that list; the balls start from the blocks.
 
     Core. A shortest path between two core vertices never enters a
     hanging tree, so distances within C are those of g, and a vertex x in
@@ -235,26 +217,31 @@ def transmissions(g: Graph) -> tuple[int, ...]:
         raise DisconnectedGraphError("graph has no vertices")
     adj = g.adj
     full = (1 << n) - 1
-    peeled, parent, core = _peel(adj)
-    ball = [1 << v for v in range(n)]  # the block of a peeled vertex, the ball of a core vertex
-    size = [0] * n
+    # the block of a peeled vertex, the ball of a core vertex
+    order, ball, core = _peel(adj)
     depth_sum = 0
-    for v in peeled:  # each block is whole once its vertex is peeled
-        b = ball[v]
-        s = size[v] = b.bit_count()
-        p = parent[v]
+    for _, p, s in order:
         if p >= 0:
-            ball[p] |= b
             depth_sum += s
         elif s != n:
             raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
     total = [depth_sum] * n  # a tree's root keeps this: t(r) = depth_sum
     nbrs = [None] * n
     growing = []
-    for c in bits(core):
-        nbrs[c] = list(bits(adj[c] & core))
-        total[c] += n - ball[c].bit_count()  # the d = 0 term
+    # the bits of core and of each core row, written out: a bits() generator
+    # per core vertex cost more than growing the balls on small graphs
+    left = core
+    while left:
+        c = left.bit_length() - 1
+        left ^= _UNIT[c]
         growing.append(c)
+        row = adj[c] & core
+        ws = nbrs[c] = []
+        while row:
+            w = row.bit_length() - 1
+            ws.append(w)
+            row ^= _UNIT[w]
+        total[c] += n - ball[c].bit_count()  # the d = 0 term
     while growing:
         grown = ball.copy()
         still = []
@@ -270,10 +257,9 @@ def transmissions(g: Graph) -> tuple[int, ...]:
                 still.append(v)
         ball = grown
         growing = still
-    for v in reversed(peeled):
-        p = parent[v]
+    for v, p, s in reversed(order):
         if p >= 0:
-            total[v] = total[p] + n - 2 * size[v]
+            total[v] = total[p] + n - 2 * s
     return tuple(total)
 
 
@@ -314,28 +300,39 @@ def bipartition(g: Graph) -> Bipartition | None:
     return Bipartition(b, a)
 
 
-def _peel(adj: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Peel vertices of degree at most one until none is left: (peeled, parent, core).
+def _peel(adj: Sequence[int]) -> tuple[list[tuple[int, int, int]], list[int], int]:
+    """Peel vertices of degree at most one until none is left: (order, block, core).
 
-    ``peeled`` lists the vertices in the order they go. ``parent[v]`` is
-    the one neighbour of ``v`` still there when ``v`` goes, or -1 when none
-    is, which makes ``v`` the root of a tree component. ``core`` is the
-    bitmask of the vertices left, the 2-core.
+    ``order`` lists one ``(v, parent, size)`` per peeled vertex, in the
+    order they go. ``parent`` is the one neighbour of ``v`` still there
+    when ``v`` goes, or -1 when none is, which makes ``v`` the root of a
+    tree component. A vertex's block is itself and every vertex peeled
+    below it; ``block[v]`` is its bitmask, whole once ``v`` goes, when it
+    is OR-ed into the parent's, and ``size`` is its size. ``core`` is the
+    bitmask of the vertices left, the 2-core, whose blocks hold the trees
+    hanging from them. ``transmissions`` reads all three; ``_peel_leaves``
+    reads the parents and the order.
     """
-    deg = [a.bit_count() for a in adj]
-    core = (1 << len(adj)) - 1
-    parent = [-1] * len(adj)
-    # a vertex joins once: at degree <= 1, or when its degree drops from 2 to 1
-    peeled = [v for v, d in enumerate(deg) if d <= 1]
-    for v in peeled:
-        core ^= 1 << v
+    n = len(adj)
+    core = (1 << n) - 1
+    block = list(_UNIT[:n])
+    order = []
+    # a vertex joins once: at degree <= 1 (a row with at most one bit), or
+    # when the vertices left leave it exactly one neighbour
+    queue = [v for v, a in enumerate(adj) if not a & (a - 1)]
+    for v in queue:
+        core ^= _UNIT[v]
+        b = block[v]
         rest = adj[v] & core  # at most one vertex
         if rest:
-            w = parent[v] = rest.bit_length() - 1
-            deg[w] -= 1
-            if deg[w] == 1:
-                peeled.append(w)
-    return peeled, parent, core
+            w = rest.bit_length() - 1
+            block[w] |= b
+            order.append((v, w, b.bit_count()))
+            if (adj[w] & core).bit_count() == 1:
+                queue.append(w)
+        else:
+            order.append((v, -1, b.bit_count()))
+    return order, block, core
 
 
 def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -348,14 +345,16 @@ def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
     component lies beside the cycle.
     """
     adj = g.adj
-    peeled, parent, alive = _peel(adj)
+    order, _, alive = _peel(adj)
     if not alive:
         raise ValueError("graph has no cycle")
     children = [0] * g.n
-    for v in peeled:
-        if parent[v] < 0:  # a tree ends with no parent while a core remains
+    peeled = []
+    for v, p, _ in order:
+        if p < 0:  # a tree ends with no parent while a core remains
             raise DisconnectedGraphError("graph is not connected")
-        children[parent[v]] |= 1 << v
+        children[p] |= 1 << v
+        peeled.append(v)
     if any((adj[v] & alive).bit_count() != 2 for v in bits(alive)):
         raise ValueError("graph has more than one cycle")
     cur = next(bits(alive))  # each step goes on to the smallest neighbour not walked yet

@@ -21,9 +21,11 @@ transmission of the identification point. Its random graphs come from
 ``random_tree``, a linear-time Pruefer decode, and
 ``random_connected_graph``, which finds its closing edge by counting
 non-edges rather than listing them. Every bounded draw goes through one
-helper that makes the ``getrandbits`` calls ``randrange`` makes, so for
-``random.Random`` (not for a subclass that draws another way) each seed
-gives the graphs and the stream that ``randrange`` and ``randint`` gave.
+helper, ``_draws``, that makes the ``getrandbits`` calls ``randrange``
+makes: a Pruefer sequence is one call of it, in one loop, and a single
+draw is a call for one value. So for ``random.Random`` (not for a
+subclass that draws another way) each seed gives the graphs and the
+stream that ``randrange`` and ``randint`` gave.
 """
 
 from __future__ import annotations
@@ -295,35 +297,39 @@ class HarnessReport:
         return _record(self)
 
 
-def _randbelow(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)``, drawn by the same ``getrandbits`` calls without its checks.
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` values of ``rng.randrange(n)``, drawn by the same ``getrandbits`` calls.
 
     This is the ``_randbelow_with_getrandbits`` path that ``random.Random``
     takes on CPython 3.10 to 3.13: k = n.bit_length() bits, redrawn while
-    they reach n. So the value and the state after it equal ``randrange``'s
-    for ``random.Random``; a subclass that overrides ``random`` but not
-    ``getrandbits`` draws ``randrange`` another way. Raises ``ValueError``
-    for n < 1 before any draw.
+    they reach n. So the values and the state after them equal those of
+    ``count`` ``randrange`` calls for ``random.Random``; a subclass that
+    overrides ``random`` but not ``getrandbits`` draws ``randrange``
+    another way. Raises ``ValueError`` for n < 1 before any draw.
     """
     if n < 1:
         raise ValueError(f"empty range for a draw below {n}")
     getrandbits = rng.getrandbits
     k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
+    out = []
+    for _ in range(count):
         r = getrandbits(k)
-    return r
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
     """Uniform random labeled tree on n vertices, by Pruefer decoding.
 
-    The Pruefer sequence is drawn as ``rng.randrange(n)`` would draw it,
-    so for ``random.Random`` the stream, the tree and the state after it
-    are those of ``randrange`` and a smallest-leaf-first heap decode. The
-    decode is linear: a pointer walks up to the next unused leaf, and a
-    vertex whose last occurrence falls below the pointer becomes the next
-    leaf at once.
+    The n - 2 values of the Pruefer sequence are one ``_draws`` call, one
+    loop over ``getrandbits`` that draws each value as ``rng.randrange(n)``
+    would, so for ``random.Random`` the stream, the tree and the state
+    after it are those of ``randrange`` and a smallest-leaf-first heap
+    decode. The decode is linear: a pointer walks up to the next unused
+    leaf, and a vertex whose last occurrence falls below the pointer
+    becomes the next leaf at once.
     """
     if n < 1:
         raise ValueError("tree needs at least one vertex")
@@ -331,7 +337,7 @@ def random_tree(rng: random.Random, n: int) -> Graph:
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     if n <= 2:
         return build_path(n)
-    seq = [_randbelow(rng, n) for _ in range(n - 2)]
+    seq = _draws(rng, n, n - 2)
     count = [0] * n
     for x in seq:
         count[x] += 1
@@ -364,10 +370,10 @@ def random_connected_graph(rng: random.Random, n_min: int = 2, n_max: int = 12) 
     vertices misses (n - 1)(n - 2) / 2 pairs, and the i-th is found from
     the count of each row's missing higher neighbours.
     """
-    n = n_min + _randbelow(rng, n_max - n_min + 1)
+    n = n_min + _draws(rng, n_max - n_min + 1, 1)[0]
     g = random_tree(rng, n)
     if n >= 3 and rng.random() < 0.5:
-        i = _randbelow(rng, (n - 1) * (n - 2) // 2)
+        i = _draws(rng, (n - 1) * (n - 2) // 2, 1)[0]
         for u in range(n - 1):
             # bit v - u - 1 is set when the pair (u, v), v > u, is missing
             missing = ~g.adj[u] >> (u + 1) & ((1 << (n - u - 1)) - 1)
@@ -401,12 +407,12 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
         bad.append(LemmaCounterexample(lemma, graph6_encode(g), graph6_encode(h), u, v, w, detail))
 
     while identity_checked < trials or mono_checked < trials:
-        n1 = 2 + _randbelow(rng, 11)
-        n2 = 2 + _randbelow(rng, min(12, 15 - n1) - 1)
+        n1 = 2 + _draws(rng, 11, 1)[0]
+        n2 = 2 + _draws(rng, min(12, 15 - n1) - 1, 1)[0]
         g = random_connected_graph(rng, n1, n1)
         h = random_connected_graph(rng, n2, n2)
-        u = _randbelow(rng, n1)
-        w = _randbelow(rng, n2)
+        u = _draws(rng, n1, 1)[0]
+        w = _draws(rng, n2, 1)[0]
         tg = transmissions(g)
         w_at_u = None  # W(coalesce(g, u, h, w)), which both checks need
         if identity_checked < trials:
@@ -417,7 +423,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
                 flag("coalescence-identity", u, None, f"W={w_at_u} but decomposition gives {rhs}")
             identity_checked += 1
         if mono_checked < trials:
-            v = _randbelow(rng, n1)
+            v = _draws(rng, n1, 1)[0]
             tu, tv = tg[u], tg[v]
             if tu == tv:
                 mono_skipped += 1

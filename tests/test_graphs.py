@@ -6,11 +6,9 @@ import random
 import pytest
 
 from wiener_unicyclic import (
-    UNREACHABLE,
     DisconnectedGraphError,
     Graph,
     OnionParams,
-    all_pairs_distances,
     bipartition,
     build_cycle,
     build_onion,
@@ -73,51 +71,24 @@ class TestGraphType:
 
 
 class TestDistances:
+    """Distance sums, the transmissions, by hand and against Floyd-Warshall."""
+
     def test_single_vertex(self):
-        dm = all_pairs_distances(Graph.from_edges(1, []))
-        assert dm.rows == ((0,),)
+        assert transmissions(Graph.from_edges(1, [])) == (0,)
 
     def test_cycle_four_by_hand(self):
-        dm = all_pairs_distances(build_cycle(4))
-        off = [dm.dist(u, v) for u in range(4) for v in range(4) if u != v]
-        assert set(off) == {1, 2}
-        far_pairs = [(u, v) for u in range(4) for v in range(u + 1, 4) if dm.dist(u, v) == 2]
-        assert len(far_pairs) == 2
-
-    def test_disconnected_marker(self):
-        dm = all_pairs_distances(Graph.from_edges(3, [(0, 1)]))
-        assert dm.dist(0, 2) == UNREACHABLE
-        assert dm.dist(2, 2) == 0
+        # each vertex has two neighbours and one vertex at distance 2
+        assert transmissions(build_cycle(4)) == (4, 4, 4, 4)
 
     def test_onion_345_matches_floyd_warshall(self):
         g = build_onion(OnionParams(3, 4, 5))
-        dm = all_pairs_distances(g)
-        fw = floyd_warshall(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                assert dm.dist(u, v) == fw[u][v]
+        assert list(transmissions(g)) == fw_transmissions(g)
 
     def test_random_graphs_match_floyd_warshall(self):
         rng = random.Random(20260809)
         for _ in range(1000):
             g = random_connected_graph(rng, 2, 12)
-            dm = all_pairs_distances(g)
-            fw = floyd_warshall(g)
-            assert all(
-                dm.dist(u, v) == fw[u][v] for u in range(g.n) for v in range(g.n)
-            )
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            g = random_connected_graph(rng, 3, 10)
-            dm = all_pairs_distances(g)
-            for u in range(g.n):
-                assert dm.dist(u, u) == 0
-                for v in range(g.n):
-                    assert dm.dist(u, v) == dm.dist(v, u)
-                    for w in range(g.n):
-                        assert dm.dist(u, w) <= dm.dist(u, v) + dm.dist(v, w)
+            assert list(transmissions(g)) == fw_transmissions(g)
 
 
 class TestWienerAndTransmission:

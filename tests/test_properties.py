@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiener_unicyclic import (
-    all_pairs_distances,
     bipartition,
     canonical_form,
     coalesce,
@@ -39,10 +38,8 @@ def test_wiener_is_half_transmission_sum(g):
 
 
 @given(connected_graphs(n_max=10))
-def test_distances_match_floyd_warshall(g):
-    dm = all_pairs_distances(g)
-    fw = floyd_warshall(g)
-    assert all(dm.dist(u, v) == fw[u][v] for u in range(g.n) for v in range(g.n))
+def test_transmissions_match_floyd_warshall(g):
+    assert list(transmissions(g)) == [int(sum(row)) for row in floyd_warshall(g)]
 
 
 @given(connected_graphs(), st.randoms(use_true_random=False))

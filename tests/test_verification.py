@@ -257,19 +257,22 @@ class TestRandomGenerators:
         return random.Random(seed), random.Random(seed)
 
     def test_draw_equals_randrange(self):
+        # one call for a whole sequence makes the getrandbits calls of one
+        # randrange per value, redraws included
         sizes = list(range(1, 301)) + [2**k + d for k in range(1, 41) for d in (-1, 0, 1)]
         for n in sizes:
             ours, theirs = self.twins(n)
-            for _ in range(20):
-                assert verification._randbelow(ours, n) == theirs.randrange(n), n
-                assert ours.getstate() == theirs.getstate(), n
+            for count in (1, 1, 0, 2, 7, 62):
+                got = verification._draws(ours, n, count)
+                assert got == [theirs.randrange(n) for _ in range(count)], (n, count)
+                assert ours.getstate() == theirs.getstate(), (n, count)
 
     @pytest.mark.parametrize("n", [0, -1, -64])
     def test_draw_rejects_an_empty_range_before_drawing(self, n):
         # a scripted stream with no values fails any draw at once, where a
         # draw below n < 1 from a real stream would never end
         with pytest.raises(ValueError):
-            verification._randbelow(ScriptedRandom(()), n)
+            verification._draws(ScriptedRandom(()), n, 1)
 
     def test_random_tree_matches_the_heap_decode(self):
         for n in range(1, 65):
