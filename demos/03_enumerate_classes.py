@@ -15,7 +15,6 @@ from wiener_unicyclic import (
     cycle_vertices,
     enumerate_unicyclic_bipartite,
     graph6_encode,
-    write_graph6_file,
 )
 
 spec = EnumSpec(3, 4)
@@ -27,10 +26,12 @@ for g, w in enumerate_unicyclic_bipartite(spec):
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "classes_3_4.g6")
-    lines = write_graph6_file(path, (g for g, _ in enumerate_unicyclic_bipartite(spec)))
+    lines = [graph6_encode(g) + "\n" for g, _ in enumerate_unicyclic_bipartite(spec)]
+    with open(path, "w") as fh:
+        fh.writelines(lines)
     with open(path) as fh:
         first = fh.readline().strip()
 print()
-print(f"wrote {lines} graph6 lines to a temporary file, the first {first}")
+print(f"wrote {len(lines)} graph6 lines to a temporary file, the first {first}")
 print("the same stream is available from the command line:")
 print("  wiener-unicyclic enumerate 3 4")

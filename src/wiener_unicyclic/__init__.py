@@ -1,7 +1,7 @@
 """Wiener indices and extremal verification for unicyclic bipartite graphs.
 
 A small exact-combinatorics toolkit: immutable bitmask graphs with
-distance invariants, builders for the onion/broom families and their
+distance invariants, builders for the onion graphs and their
 closed-form Wiener values, an isomorphism-free enumerator for connected
 unicyclic bipartite graphs with given part sizes (bracelets of rooted
 trees around an even cycle, each with its Wiener index), and brute-force
@@ -17,9 +17,7 @@ from .enumeration import (
     unicyclic_classes,
 )
 from .families import (
-    BroomParams,
     OnionParams,
-    build_broom,
     build_cycle,
     build_min_extremal,
     build_onion,
@@ -32,7 +30,7 @@ from .families import (
     onion_wiener_closed_form,
     theorem_polynomial,
 )
-from .graph6 import Graph6ParseError, graph6_decode, graph6_encode, write_graph6_file
+from .graph6 import Graph6ParseError, graph6_decode, graph6_encode
 from .graphs import (
     MAX_VERTICES,
     Bipartition,
@@ -51,7 +49,6 @@ from .verification import (
     OptimizerWitness,
     StructuralCheck,
     TableRow,
-    check_structural_consequences,
     extremal_table,
     lemma_harness,
     random_connected_graph,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition",
-    "BroomParams",
     "CANONICAL_MAX_VERTICES",
     "DisconnectedGraphError",
     "EnumSpec",
@@ -79,14 +75,12 @@ __all__ = [
     "StructuralCheck",
     "TableRow",
     "bipartition",
-    "build_broom",
     "build_cycle",
     "build_min_extremal",
     "build_onion",
     "build_path",
     "build_star",
     "canonical_form",
-    "check_structural_consequences",
     "coalesce",
     "count_classes",
     "cycle_vertices",
@@ -110,5 +104,4 @@ __all__ = [
     "verify",
     "verify_both",
     "wiener_index",
-    "write_graph6_file",
 ]

@@ -205,11 +205,14 @@ def _wiener_text(r: dict) -> str:
 
 def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
     # A byte that is not UTF-8 becomes a lone surrogate, which graph6_decode
-    # rejects like any non-ASCII character, at its byte offset.
+    # rejects like any non-ASCII character, at its byte offset. Only \n, \r\n
+    # and \r end a line (str.splitlines also breaks at \f, \v and others), so
+    # any other control character stays in its line and is rejected there.
     if ns.input == "-" and sys.stdin is None:  # Python's stdin when descriptor 0 is closed
         raise OSError("cannot read stdin: it is closed")
     with open(ns.input, "rb") if ns.input != "-" else nullcontext(sys.stdin.buffer) as fh:
-        lines = fh.read().decode("utf-8", "surrogateescape").splitlines()
+        text = fh.read().decode("utf-8", "surrogateescape")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     records: list[dict] = []
     for idx, line in enumerate(lines, start=1):
         if not line.strip():

@@ -14,7 +14,6 @@ values have stable anchors:
 * onion: cycle = 0-1-2-3-0 with v = 0 and u = 2; path vertices continue
   4, 5, ..., l+2 (so u_l is ``l+2`` when l >= 2, else 2); then the k
   pendants of v, then the m pendants of u_l.
-* broom: path ``x_1 .. x_a`` is 0..a-1, pendants are a..a+b-1.
 * minimal construction: cycle 0-1-2-3-0, p-2 pendants at 0, q-2 at 1.
 """
 
@@ -67,33 +66,6 @@ class OnionParams:
         return 2 if self.l == 1 else self.l + 2
 
 
-@dataclass(frozen=True)
-class BroomParams:
-    """A path on ``a`` vertices with ``b`` pendants at its far end."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError(f"path must have at least one vertex: a={self.a}")
-        if self.b < 0:
-            raise ValueError(f"pendant count must be nonnegative: b={self.b}")
-
-    @property
-    def n(self) -> int:
-        return self.a + self.b
-
-    @property
-    def root_id(self) -> int:
-        return 0
-
-    @property
-    def handle_end_id(self) -> int:
-        """Id of x_a, the vertex the pendants attach to."""
-        return self.a - 1
-
-
 def build_path(n: int) -> Graph:
     """Path on n vertices, labeled 0..n-1 along the path."""
     if n < 1:
@@ -113,14 +85,6 @@ def build_star(k: int) -> Graph:
     if k < 0:
         raise ValueError(f"leaf count must be nonnegative, got {k}")
     return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def build_broom(params: BroomParams) -> Graph:
-    """Broom tree per :class:`BroomParams`; root is vertex 0."""
-    a, b = params.a, params.b
-    edges = [(i, i + 1) for i in range(a - 1)]
-    edges += [(a - 1, a + i) for i in range(b)]
-    return Graph.from_edges(a + b, edges)
 
 
 def build_onion(params: OnionParams) -> Graph:

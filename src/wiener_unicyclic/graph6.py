@@ -104,12 +104,3 @@ def graph6_decode(line: str) -> Graph:
                 adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
-
-def write_graph6_file(path: str, graphs) -> int:
-    """Write one graph6 line per graph; returns the number of lines."""
-    count = 0
-    with open(path, "w") as fh:
-        for g in graphs:
-            fh.write(graph6_encode(g) + "\n")
-            count += 1
-    return count

@@ -256,12 +256,6 @@ def structural_checks(g: Graph) -> StructuralCheck:
     )
 
 
-def check_structural_consequences(p: int, q: int) -> list[StructuralCheck]:
-    """Structure report for every brute-force maximizer at (p, q)."""
-    mx = verify(p, q, "max")
-    return [structural_checks(graph_from_canonical(w.canon)) for w in mx.optimizers]
-
-
 # ---------------------------------------------------------------------------
 # Randomized lemma harnesses
 # ---------------------------------------------------------------------------

@@ -64,6 +64,37 @@ def test_wiener_non_utf8_byte_is_a_parse_error(capsys, tmp_path, monkeypatch, ro
     assert target.read_text() == ""
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_wiener_breaks_lines_only_at_newlines(capsys, tmp_path, monkeypatch, route, sep):
+    # str.splitlines would end line 1 at sep and print three records
+    data = f"A_{sep}A_\nBw\n".encode()
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    if route == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "wiener", str(path) if route == "file" else "-")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 1: character {sep!r} outside graph6 range (byte offset 2)\n"
+
+
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_wiener_crlf_and_cr_end_lines(capsys, tmp_path, monkeypatch, route):
+    data = b"A_\r\n\r\nBw\r\nCl\r"
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    if route == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "wiener", str(path) if route == "file" else "-")
+    assert code == 0
+    assert out == (
+        "line=1 n=2 edges=1 wiener=1 t_min=1 t_max=1 parts=(1,1)\n"
+        "line=3 n=3 edges=3 wiener=3 t_min=2 t_max=2 parts=non-bipartite\n"
+        "line=4 n=4 edges=4 wiener=8 t_min=4 t_max=4 parts=(2,2)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "fmt, want", [("text", ""), ("json", ""), ("csv", "line,n,edges,wiener,t_min,t_max,p,q,error\n")]
 )

@@ -6,11 +6,9 @@ from math import comb
 import pytest
 
 from wiener_unicyclic import (
-    BroomParams,
     Graph,
     OnionParams,
     bipartition,
-    build_broom,
     build_cycle,
     build_min_extremal,
     build_onion,
@@ -60,34 +58,6 @@ class TestPrimitiveBuilders:
             build_cycle(2)
         with pytest.raises(ValueError):
             build_star(-1)
-
-
-class TestBroom:
-    def test_single_path_vertex_is_star(self):
-        for k in range(5):
-            b = build_broom(BroomParams(1, k))
-            assert canonical_form(b) == canonical_form(build_star(k))
-
-    def test_no_pendants_is_path(self):
-        assert canonical_form(build_broom(BroomParams(5, 0))) == canonical_form(build_path(5))
-
-    def test_two_two_by_oracle(self):
-        # the (2,2) broom is K_{1,3}: W = 9
-        b = build_broom(BroomParams(2, 2))
-        assert wiener_via_floyd_warshall(b) == 9
-        assert wiener_index(b) == 9
-
-    def test_degrees_at_documented_anchors(self):
-        params = BroomParams(4, 3)
-        b = build_broom(params)
-        assert b.degree(params.root_id) == 1
-        assert b.degree(params.handle_end_id) == params.b + 1
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BroomParams(0, 1)
-        with pytest.raises(ValueError):
-            BroomParams(1, -1)
 
 
 class TestOnion:
@@ -168,7 +138,9 @@ class TestCoalesce:
 
     def test_star_center_on_path_end_is_broom(self):
         merged, _ = coalesce(build_path(4), 3, build_star(3), 0)
-        assert canonical_form(merged) == canonical_form(build_broom(BroomParams(4, 3)))
+        # a broom: the path 0-1-2-3 with pendants 4, 5 and 6 at vertex 3
+        broom = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
+        assert canonical_form(merged) == canonical_form(broom)
 
     def test_identified_vertex_inherits_both_neighborhoods(self):
         g1 = build_star(2)

@@ -15,7 +15,6 @@ from wiener_unicyclic import (
     build_min_extremal,
     build_onion,
     canonical_form,
-    check_structural_consequences,
     cycle_vertices,
     extremal_table,
     graph6_decode,
@@ -99,7 +98,8 @@ class TestVerifyMin:
 
 class TestStructuralChecks:
     def test_cycle_four_passes_trivially(self):
-        checks = check_structural_consequences(2, 2)
+        mx = verify(2, 2, "max")
+        checks = [structural_checks(canon.graph_from_canonical(w.canon)) for w in mx.optimizers]
         assert len(checks) == 1
         c = checks[0]
         assert c.cycle_length_four and c.antipodal_degree_two and c.attached_trees_are_brooms
@@ -107,13 +107,15 @@ class TestStructuralChecks:
         assert c.all_pass
 
     def test_three_five_maximizer(self):
-        checks = check_structural_consequences(3, 5)
+        mx = verify(3, 5, "max")
+        checks = [structural_checks(canon.graph_from_canonical(w.canon)) for w in mx.optimizers]
         assert len(checks) == 1
         assert checks[0].all_pass
         assert checks[0].pendants_in_larger_part is True
 
     def test_four_four_skips_pendant_check(self):
-        checks = check_structural_consequences(4, 4)
+        mx = verify(4, 4, "max")
+        checks = [structural_checks(canon.graph_from_canonical(w.canon)) for w in mx.optimizers]
         assert len(checks) == 1
         assert checks[0].all_pass
         assert checks[0].pendants_in_larger_part is None
@@ -440,8 +442,8 @@ def test_verify_both_reaches_order_fifteen():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: verify(8, 9, "max"), lambda: check_structural_consequences(8, 9)],
-    ids=["verify", "check_structural_consequences"],
+    [lambda: verify(8, 9, "max"), lambda: verify_both(8, 9)],
+    ids=["verify", "verify_both"],
 )
 def test_orders_above_sixteen_are_rejected(call):
     with pytest.raises(ValueError, match="exceeds the canonical-form limit 16"):
