@@ -103,4 +103,3 @@ def graph6_decode(line: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-

@@ -139,4 +139,3 @@ def test_extended_size_field_errors(line, message, offset):
     with pytest.raises(Graph6ParseError, match=message) as exc:
         graph6_decode(line)
     assert exc.value.offset == offset
-
