@@ -208,6 +208,8 @@ def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
     # rejects like any non-ASCII character, at its byte offset. Only \n, \r\n
     # and \r end a line (str.splitlines also breaks at \f, \v and others), so
     # any other control character stays in its line and is rejected there.
+    # Only a line of spaces and tabs is blank; str.strip() would also empty a
+    # line of \v, \f, \x1c-\x1f, U+0085, U+2028 or U+2029.
     if ns.input == "-" and sys.stdin is None:  # Python's stdin when descriptor 0 is closed
         raise OSError("cannot read stdin: it is closed")
     with open(ns.input, "rb") if ns.input != "-" else nullcontext(sys.stdin.buffer) as fh:
@@ -215,7 +217,7 @@ def cmd_wiener(ns: argparse.Namespace, out: TextIO) -> int:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     records: list[dict] = []
     for idx, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             g = graph6_decode(line)

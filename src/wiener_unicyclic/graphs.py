@@ -6,17 +6,19 @@ degree at most one until only the 2-core is left (the cycle of a
 unicyclic graph, nothing of a tree). In the same loop it ORs each peeled
 vertex's block (itself and the vertices peeled below it) into the block
 of the neighbour it hung from, and lists, in peel order, each vertex with
-that parent and its block's size. Two readers share that list. The
+that parent and its block's size. The peel also sums those sizes,
+which is the depth sum of the trees. Two readers share that list. The
 transmissions kernel, which gives every transmission and through them
-the Wiener index, reads its depth sum, root check and rerooting from it,
-and grows distance balls on the 2-core only, each seeded with its
-vertex's block (see ``transmissions``). ``_peel_leaves`` reads the
-parents and the order for a unicyclic graph: the cycle, which
-``cycle_vertices`` returns, and the trees hanging off it, as each
-vertex's children, which bracelet codes and the broom check read.
-Connectivity and bipartition come from one bitmask BFS helper, which
-lists the vertices at each distance from a set. Everything is a pure
-function; operations that would change a graph return a new one instead.
+the Wiener index, reroots the trees from it and grows distance balls on
+the 2-core only, each seeded with its vertex's block (see
+``transmissions``). ``_peel_leaves`` reads the parents and the order for
+a unicyclic graph: the cycle, which ``cycle_vertices`` returns, and the
+trees hanging off it, as each vertex's children, which bracelet codes
+and the broom check read. Connectivity and bipartition come from one
+bitmask BFS from vertex 0, which returns the vertices at even and at odd
+distance as two masks and a flag set when an edge joins two vertices of
+one layer, that is, closes an odd cycle. Everything is a pure function;
+operations that would change a graph return a new one instead.
 """
 
 from __future__ import annotations
@@ -130,39 +132,51 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """The two colour classes of a connected bipartite graph, smaller first."""
+    """The two colour classes of a connected bipartite graph as bitmasks, smaller first."""
 
-    part_p: frozenset[int]
-    part_q: frozenset[int]
+    part_p: int
+    part_q: int
 
     @property
     def p(self) -> int:
-        return len(self.part_p)
+        return self.part_p.bit_count()
 
     @property
     def q(self) -> int:
-        return len(self.part_q)
+        return self.part_q.bit_count()
 
     @property
     def sizes(self) -> tuple[int, int]:
         return (self.p, self.q)
 
 
-def _bfs_layers(adj: Sequence[int], starts: int) -> Iterator[int]:
-    """Yield the vertices at distance 0, 1, 2, ... from the set ``starts`` as bitmasks.
+def _two_colour(adj: Sequence[int]) -> tuple[int, int, bool]:
+    """BFS from vertex 0: (even, odd, odd_edge).
 
-    ``starts`` is a bitmask. The layers are disjoint, so their sum is the
-    set of vertices reached.
+    ``even`` and ``odd`` are the bitmasks of the vertices reached at even
+    and at odd distance from vertex 0, so their union is vertex 0's
+    component. Every edge of that component joins two vertices of one BFS
+    layer or of consecutive layers, and ``odd_edge`` is set when one joins
+    two of one layer, which is exactly when the component holds an odd
+    cycle (Kleinberg and Tardos, Algorithm Design, 2005, section 3.4).
     """
-    frontier = starts
-    seen = frontier
+    parts = [0, 0]
+    frontier = seen = 1
+    meet = 0  # vertices of a layer adjacent to that same layer
+    d = 0
     while frontier:
-        yield frontier
+        parts[d] |= frontier
         nxt = 0
-        for v in bits(frontier):
+        left = frontier
+        while left:
+            v = left.bit_length() - 1
+            left ^= _UNIT[v]
             nxt |= adj[v]
+        meet |= nxt & frontier  # no row holds its own vertex
         frontier = nxt & ~seen
         seen |= frontier
+        d ^= 1
+    return parts[0], parts[1], bool(meet)
 
 
 def transmission(g: Graph, v: int) -> int:
@@ -178,9 +192,9 @@ def transmissions(g: Graph) -> tuple[int, ...]:
     The block of a vertex v is v together with every peeled vertex that
     hangs from it, directly or not; s(v) is its size and depth(x) the
     number of edges from x down to C. ``_peel`` gives it all in one pass:
-    the list of (x, parent(x), s(x)) in peel order, every block, and C.
-    The sum of s(x), the root check and the walk back out below read
-    that list; the balls start from the blocks.
+    the list of (x, parent(x), s(x)) in peel order, every block, C, and
+    the sum of s(x) over the peeled x with a parent. The walk back out
+    below reads that list; the balls start from the blocks.
 
     Core. A shortest path between two core vertices never enters a
     hanging tree, so distances within C are those of g, and a vertex x in
@@ -208,9 +222,9 @@ def transmissions(g: Graph) -> tuple[int, ...]:
     parent before its children. A tree has an empty core: its last
     peeled vertex r is the root, and t(r) = sum over x of depth(x), with
     depth now counted down to r, which is again the sum of s(x) over the
-    vertices x other than r. A peeled vertex with no parent whose block
-    is not every vertex means a forest, or a tree beside a component with
-    a cycle.
+    vertices x other than r. With an empty core, r's block must hold
+    every vertex, or g is a forest. With a core, a vertex outside the
+    core's component never enters a ball, so some ball stops growing.
     """
     n = g.n
     if n == 0:
@@ -218,13 +232,9 @@ def transmissions(g: Graph) -> tuple[int, ...]:
     adj = g.adj
     full = (1 << n) - 1
     # the block of a peeled vertex, the ball of a core vertex
-    order, ball, core = _peel(adj)
-    depth_sum = 0
-    for _, p, s in order:
-        if p >= 0:
-            depth_sum += s
-        elif s != n:
-            raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
+    order, ball, core, depth_sum = _peel(adj)
+    if not core and order[-1][2] != n:  # the last root's tree is not all of g
+        raise DisconnectedGraphError("transmissions are undefined for disconnected graphs")
     total = [depth_sum] * n  # a tree's root keeps this: t(r) = depth_sum
     nbrs = [None] * n
     growing = []
@@ -282,26 +292,18 @@ def bipartition(g: Graph) -> Bipartition | None:
     """
     if g.n == 0:
         raise DisconnectedGraphError("graph has no vertices")
-    adj = g.adj
-    parts = [0, 0]  # vertices at even and at odd distance from vertex 0
-    for d, layer in enumerate(_bfs_layers(adj, 1)):
-        parts[d & 1] |= layer
-    even, odd = parts
+    even, odd, odd_edge = _two_colour(g.adj)
     if (even | odd) != (1 << g.n) - 1:
         raise DisconnectedGraphError("bipartition is ambiguous for disconnected graphs")
-    for part in parts:
-        for v in bits(part):
-            if adj[v] & part:
-                return None
-    a = frozenset(bits(even))
-    b = frozenset(bits(odd))
-    if len(a) <= len(b):  # a holds vertex 0
-        return Bipartition(a, b)
-    return Bipartition(b, a)
+    if odd_edge:
+        return None
+    if even.bit_count() <= odd.bit_count():  # even holds vertex 0
+        return Bipartition(even, odd)
+    return Bipartition(odd, even)
 
 
-def _peel(adj: Sequence[int]) -> tuple[list[tuple[int, int, int]], list[int], int]:
-    """Peel vertices of degree at most one until none is left: (order, block, core).
+def _peel(adj: Sequence[int]) -> tuple[list[tuple[int, int, int]], list[int], int, int]:
+    """Peel vertices of degree at most one until none is left: (order, block, core, depth_sum).
 
     ``order`` lists one ``(v, parent, size)`` per peeled vertex, in the
     order they go. ``parent`` is the one neighbour of ``v`` still there
@@ -310,13 +312,15 @@ def _peel(adj: Sequence[int]) -> tuple[list[tuple[int, int, int]], list[int], in
     below it; ``block[v]`` is its bitmask, whole once ``v`` goes, when it
     is OR-ed into the parent's, and ``size`` is its size. ``core`` is the
     bitmask of the vertices left, the 2-core, whose blocks hold the trees
-    hanging from them. ``transmissions`` reads all three; ``_peel_leaves``
-    reads the parents and the order.
+    hanging from them. ``depth_sum`` is the sum of ``size`` over the
+    vertices peeled with a parent. ``transmissions`` reads all four;
+    ``_peel_leaves`` reads the parents and the order.
     """
     n = len(adj)
     core = (1 << n) - 1
     block = list(_UNIT[:n])
     order = []
+    depth_sum = 0
     # a vertex joins once: at degree <= 1 (a row with at most one bit), or
     # when the vertices left leave it exactly one neighbour
     queue = [v for v, a in enumerate(adj) if not a & (a - 1)]
@@ -327,12 +331,14 @@ def _peel(adj: Sequence[int]) -> tuple[list[tuple[int, int, int]], list[int], in
         if rest:
             w = rest.bit_length() - 1
             block[w] |= b
-            order.append((v, w, b.bit_count()))
+            s = b.bit_count()
+            depth_sum += s
+            order.append((v, w, s))
             if (adj[w] & core).bit_count() == 1:
                 queue.append(w)
         else:
             order.append((v, -1, b.bit_count()))
-    return order, block, core
+    return order, block, core, depth_sum
 
 
 def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -345,7 +351,7 @@ def _peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int]]:
     component lies beside the cycle.
     """
     adj = g.adj
-    order, _, alive = _peel(adj)
+    order, _, alive, _ = _peel(adj)
     if not alive:
         raise ValueError("graph has no cycle")
     children = [0] * g.n
@@ -381,4 +387,7 @@ def cycle_vertices(g: Graph) -> list[int]:
 
 def is_unicyclic(g: Graph) -> bool:
     """True iff the graph is connected with exactly one cycle (|E| = |V|)."""
-    return g.n > 0 and g.num_edges == g.n and sum(_bfs_layers(g.adj, 1)) == (1 << g.n) - 1
+    if g.n == 0 or g.num_edges != g.n:
+        return False
+    even, odd, _ = _two_colour(g.adj)
+    return even | odd == (1 << g.n) - 1

@@ -246,7 +246,7 @@ def structural_checks(g: Graph) -> StructuralCheck:
     pendant_ok: bool | None = None
     if bp is not None and bp.p < bp.q:
         pendants = [v for v in range(g.n) if g.degree(v) == 1]
-        pendant_ok = all(v in bp.part_q for v in pendants)
+        pendant_ok = all(bp.part_q >> v & 1 for v in pendants)
     return StructuralCheck(
         graph6=graph6_encode(g),
         cycle_length_four=cycle_ok,

@@ -79,6 +79,24 @@ def test_wiener_breaks_lines_only_at_newlines(capsys, tmp_path, monkeypatch, rou
     assert err == f"error: line 1: character {sep!r} outside graph6 range (byte offset 2)\n"
 
 
+@pytest.mark.parametrize(
+    "mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+)
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_wiener_skips_only_lines_of_spaces_and_tabs(capsys, tmp_path, monkeypatch, route, mark):
+    # str.strip() would empty line 3 and skip it; line 2, spaces and a tab, is
+    # still skipped, or the error would name it
+    data = f"A_\n \t \n{mark}\nBw\n".encode()
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    if route == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "wiener", str(path) if route == "file" else "-")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 3: character {mark!r} outside graph6 range (byte offset 0)\n"
+
+
 @pytest.mark.parametrize("route", ["file", "stdin"])
 def test_wiener_crlf_and_cr_end_lines(capsys, tmp_path, monkeypatch, route):
     data = b"A_\r\n\r\nBw\r\nCl\r"

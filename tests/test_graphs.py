@@ -187,6 +187,40 @@ def labeled_graphs(n: int):
         yield Graph(n, tuple(adj))
 
 
+def bfs_colouring(g: Graph) -> list[int | None]:
+    """Each vertex's distance parity from vertex 0 by a plain-list BFS, None where unreached."""
+    colour: list[int | None] = [None] * g.n
+    colour[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in range(g.n):
+            if g.adj[u] >> v & 1 and colour[v] is None:
+                colour[v] = 1 - colour[u]
+                queue.append(v)
+    return colour
+
+
+def check_two_colouring(g: Graph) -> None:
+    """``bipartition`` and ``is_unicyclic`` against the plain-list BFS colouring."""
+    colour = bfs_colouring(g)
+    edges = g.edges()
+    if None in colour:
+        with pytest.raises(DisconnectedGraphError):
+            bipartition(g)
+        assert not is_unicyclic(g)
+        return
+    assert is_unicyclic(g) == (len(edges) == g.n)
+    bp = bipartition(g)
+    if any(colour[u] == colour[v] for u, v in edges):
+        assert bp is None
+        return
+    even = sum(1 << v for v in range(g.n) if colour[v] == 0)
+    odd = ((1 << g.n) - 1) ^ even
+    # vertex 0's class, even, comes first on a tie
+    want = (even, odd) if even.bit_count() <= odd.bit_count() else (odd, even)
+    assert bp is not None and (bp.part_p, bp.part_q) == want
+
+
 class TestTransmissionsKernel:
     """The peel-and-core kernel against Floyd-Warshall row sums."""
 
@@ -298,13 +332,32 @@ class TestBipartition:
             if bp is None:
                 continue
             assert bp.p <= bp.q and bp.p + bp.q == g.n
-            assert bp.part_p.isdisjoint(bp.part_q)
+            assert not bp.part_p & bp.part_q
             for u, v in g.edges():
-                assert (u in bp.part_p) != (v in bp.part_p)
+                assert (bp.part_p >> u & 1) != (bp.part_p >> v & 1)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             bipartition(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_every_labeled_graph_up_to_six_vertices(self):
+        count = 0
+        for n in range(1, 7):
+            for g in labeled_graphs(n):
+                check_two_colouring(g)
+                count += 1
+        assert count == 33867
+
+    def test_vertex_63(self):
+        odd_cycle_and_pendant = Graph.from_edges(64, [(v, (v + 1) % 63) for v in range(63)] + [(5, 63)])
+        perm = list(range(64))
+        random.Random(64).shuffle(perm)
+        for g in (build_path(64), odd_cycle_and_pendant):
+            for h in (g, g.relabel(perm)):
+                check_two_colouring(h)
+        assert bipartition(build_path(64)).sizes == (32, 32)
+        assert bipartition(odd_cycle_and_pendant) is None
+        assert is_unicyclic(odd_cycle_and_pendant)
 
     @pytest.mark.parametrize(
         "g",
@@ -323,7 +376,7 @@ class TestBipartition:
             rng.shuffle(perm)
             bp = bipartition(g.relabel(perm))
             assert bp is not None and bp.p == bp.q
-            assert 0 in bp.part_p
+            assert bp.part_p & 1
 
 
 class TestUnicyclic:

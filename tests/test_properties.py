@@ -62,7 +62,7 @@ def test_bipartition_is_proper_when_it_exists(g):
     assert bp.p <= bp.q
     assert bp.p + bp.q == g.n
     for u, v in g.edges():
-        assert (u in bp.part_p) != (v in bp.part_p)
+        assert (bp.part_p >> u & 1) != (bp.part_p >> v & 1)
 
 
 @given(connected_graphs(), st.randoms(use_true_random=False))
