@@ -91,25 +91,32 @@ pays one canonical form per class.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
 from .families import _check_part_sizes
 from .graphs import Graph, _peel_leaves, bits
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """Part sizes 2 <= p <= q, with p + q at most the canonical form's limit of 16."""
-
+class _EnumFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_part_sizes(self.p, self.q)
-        self.check_order(self.n)
+
+class EnumSpec(_EnumFields):
+    """Part sizes 2 <= p <= q, with p + q at most the canonical form's limit of 16.
+
+    The sizes are checked on construction; ``_make`` and ``_replace`` build
+    the tuple directly and skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "EnumSpec":
+        _check_part_sizes(p, q)
+        cls.check_order(p + q)
+        return super().__new__(cls, p, q)
 
     @staticmethod
     def check_order(n: int) -> None:

@@ -19,8 +19,8 @@ values have stable anchors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -32,19 +32,26 @@ def _exact_div(num: int, den: int) -> int:
     return quot
 
 
-@dataclass(frozen=True)
-class OnionParams:
-    """Parameters (k, l, m) of the onion graph On(k, l, m)."""
-
+class _OnionFields(NamedTuple):
     k: int
     l: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.m < 0:
-            raise ValueError(f"pendant counts must be nonnegative: k={self.k}, m={self.m}")
-        if self.l < 1:
-            raise ValueError(f"path must have at least one vertex: l={self.l}")
+
+class OnionParams(_OnionFields):
+    """Parameters (k, l, m) of the onion graph On(k, l, m), checked on construction.
+
+    ``_make`` and ``_replace`` build the tuple directly and skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, l: int, m: int) -> "OnionParams":
+        if k < 0 or m < 0:
+            raise ValueError(f"pendant counts must be nonnegative: k={k}, m={m}")
+        if l < 1:
+            raise ValueError(f"path must have at least one vertex: l={l}")
+        return super().__new__(cls, k, l, m)
 
     @property
     def n(self) -> int:

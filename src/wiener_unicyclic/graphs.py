@@ -23,8 +23,7 @@ operations that would change a graph return a new one instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -44,14 +43,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``adj[v]`` is the neighbour set of ``v`` as a bitmask. Instances are
-    immutable (and therefore hashable and safe to share across workers).
-    Use :meth:`from_edges` rather than the raw constructor; it validates
-    simplicity and symmetry.
+    ``adj[v]`` is the neighbour set of ``v`` as a bitmask. A graph is the
+    tuple ``(n, adj)``, so it is immutable, hashable and safe to share
+    across workers, and it equals that plain tuple. Use :meth:`from_edges`
+    rather than the raw constructor; it validates simplicity and symmetry.
     """
 
     n: int
@@ -102,7 +100,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """New graph with the extra edge (u, v); the edge must not exist yet."""
@@ -130,8 +128,7 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """The two colour classes of a connected bipartite graph as bitmasks, smaller first."""
 
     part_p: int

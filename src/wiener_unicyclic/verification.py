@@ -21,17 +21,16 @@ transmission of the identification point. Its random graphs come from
 ``random_tree``, a linear-time Pruefer decode, and
 ``random_connected_graph``, which finds its closing edge by counting
 non-edges rather than listing them. Every bounded draw goes through one
-helper, ``_draws``, that makes the ``getrandbits`` calls ``randrange``
-makes: a Pruefer sequence is one call of it, in one loop, and a single
-draw is a call for one value. So for ``random.Random`` (not for a
-subclass that draws another way) each seed gives the graphs and the
-stream that ``randrange`` and ``randint`` gave.
+helper, ``_draw``, that makes the ``getrandbits`` calls ``randrange``
+makes, a Pruefer sequence one call per value. So for ``random.Random``
+(not for a subclass that draws another way) each seed gives the graphs
+and the stream that ``randrange`` and ``randint`` gave.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .canon import canonical_form, graph_from_canonical
 from .enumeration import EnumSpec, RootedTrees, unicyclic_classes
@@ -58,25 +57,28 @@ from .graphs import (
 )
 
 
-def _hex_bytes(items: list[tuple[str, object]]) -> dict:
-    return {key: value.hex() if isinstance(value, bytes) else value for key, value in items}
+def _plain(value: object) -> object:
+    """``value`` made JSON-ready: bytes become hex, records dicts; tuples stay tuples."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, tuple):
+        return _record(value) if hasattr(value, "_fields") else tuple(map(_plain, value))
+    return value
 
 
 def _record(report) -> dict:
-    """JSON-ready dict of a report dataclass, fields in order; bytes become hex."""
-    return asdict(report, dict_factory=_hex_bytes)
+    """JSON-ready dict of a report record, fields in order, each value made ``_plain``."""
+    return {key: _plain(value) for key, value in zip(report._fields, report)}
 
 
-@dataclass(frozen=True)
-class OptimizerWitness:
+class OptimizerWitness(NamedTuple):
     """One optimal isomorphism class: canonical form plus a graph6 witness."""
 
     canon: bytes
     graph6: str
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Outcome of one brute-force extremal search for part sizes (p, q)."""
 
     p: int
@@ -198,8 +200,7 @@ def cycle_six_is_min_optimizer(report: ExtremalReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
+class StructuralCheck(NamedTuple):
     """Per-maximizer structure report; pendant check is None when p = q."""
 
     graph6: str
@@ -261,8 +262,7 @@ def structural_checks(g: Graph) -> StructuralCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaCounterexample:
+class LemmaCounterexample(NamedTuple):
     lemma: str  # "coalescence-identity" or "transplant-monotonicity"
     graph6_g: str
     graph6_h: str
@@ -272,8 +272,7 @@ class LemmaCounterexample:
     detail: str
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     """Counts and counterexamples from one seeded harness run."""
 
     seed: int
@@ -291,39 +290,34 @@ class HarnessReport:
         return _record(self)
 
 
-def _draws(rng: random.Random, n: int, count: int) -> list[int]:
-    """``count`` values of ``rng.randrange(n)``, drawn by the same ``getrandbits`` calls.
+def _draw(rng: random.Random, n: int) -> int:
+    """The value of ``rng.randrange(n)``, drawn by the same ``getrandbits`` calls.
 
     This is the ``_randbelow_with_getrandbits`` path that ``random.Random``
     takes on CPython 3.10 to 3.13: k = n.bit_length() bits, redrawn while
-    they reach n. So the values and the state after them equal those of
-    ``count`` ``randrange`` calls for ``random.Random``; a subclass that
-    overrides ``random`` but not ``getrandbits`` draws ``randrange``
-    another way. Raises ``ValueError`` for n < 1 before any draw.
+    they reach n. So the value and the state after it equal those of a
+    ``randrange`` call for ``random.Random``; a subclass that overrides
+    ``random`` but not ``getrandbits`` draws ``randrange`` another way.
+    Raises ``ValueError`` for n < 1 before any draw.
     """
     if n < 1:
         raise ValueError(f"empty range for a draw below {n}")
-    getrandbits = rng.getrandbits
     k = n.bit_length()
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(r)
-    return out
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
     """Uniform random labeled tree on n vertices, by Pruefer decoding.
 
-    The n - 2 values of the Pruefer sequence are one ``_draws`` call, one
-    loop over ``getrandbits`` that draws each value as ``rng.randrange(n)``
-    would, so for ``random.Random`` the stream, the tree and the state
-    after it are those of ``randrange`` and a smallest-leaf-first heap
-    decode. The decode is linear: a pointer walks up to the next unused
-    leaf, and a vertex whose last occurrence falls below the pointer
-    becomes the next leaf at once.
+    Each of the n - 2 values of the Pruefer sequence is one ``_draw`` call,
+    which draws it as ``rng.randrange(n)`` would, so for ``random.Random``
+    the stream, the tree and the state after it are those of ``randrange``
+    and a smallest-leaf-first heap decode. The decode is linear: a pointer
+    walks up to the next unused leaf, and a vertex whose last occurrence
+    falls below the pointer becomes the next leaf at once.
     """
     if n < 1:
         raise ValueError("tree needs at least one vertex")
@@ -331,7 +325,7 @@ def random_tree(rng: random.Random, n: int) -> Graph:
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     if n <= 2:
         return build_path(n)
-    seq = _draws(rng, n, n - 2)
+    seq = [_draw(rng, n) for _ in range(n - 2)]
     count = [0] * n
     for x in seq:
         count[x] += 1
@@ -364,10 +358,10 @@ def random_connected_graph(rng: random.Random, n_min: int = 2, n_max: int = 12) 
     vertices misses (n - 1)(n - 2) / 2 pairs, and the i-th is found from
     the count of each row's missing higher neighbours.
     """
-    n = n_min + _draws(rng, n_max - n_min + 1, 1)[0]
+    n = n_min + _draw(rng, n_max - n_min + 1)
     g = random_tree(rng, n)
     if n >= 3 and rng.random() < 0.5:
-        i = _draws(rng, (n - 1) * (n - 2) // 2, 1)[0]
+        i = _draw(rng, (n - 1) * (n - 2) // 2)
         for u in range(n - 1):
             # bit v - u - 1 is set when the pair (u, v), v > u, is missing
             missing = ~g.adj[u] >> (u + 1) & ((1 << (n - u - 1)) - 1)
@@ -401,12 +395,12 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
         bad.append(LemmaCounterexample(lemma, graph6_encode(g), graph6_encode(h), u, v, w, detail))
 
     while identity_checked < trials or mono_checked < trials:
-        n1 = 2 + _draws(rng, 11, 1)[0]
-        n2 = 2 + _draws(rng, min(12, 15 - n1) - 1, 1)[0]
+        n1 = 2 + _draw(rng, 11)
+        n2 = 2 + _draw(rng, min(12, 15 - n1) - 1)
         g = random_connected_graph(rng, n1, n1)
         h = random_connected_graph(rng, n2, n2)
-        u = _draws(rng, n1, 1)[0]
-        w = _draws(rng, n2, 1)[0]
+        u = _draw(rng, n1)
+        w = _draw(rng, n2)
         tg = transmissions(g)
         w_at_u = None  # W(coalesce(g, u, h, w)), which both checks need
         if identity_checked < trials:
@@ -417,7 +411,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
                 flag("coalescence-identity", u, None, f"W={w_at_u} but decomposition gives {rhs}")
             identity_checked += 1
         if mono_checked < trials:
-            v = _draws(rng, n1, 1)[0]
+            v = _draw(rng, n1)
             tu, tv = tg[u], tg[v]
             if tu == tv:
                 mono_skipped += 1
@@ -445,8 +439,7 @@ def lemma_harness(seed: int, trials: int) -> HarnessReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """Summary of both extremal searches for one (p, q)."""
 
     p: int

@@ -49,6 +49,47 @@ def test_random_relabeling_invariance():
             assert canonical_form(g.relabel(perm)) == base
 
 
+#: Frucht's graph: cubic on 12 vertices, with no automorphism but the identity.
+FRUCHT_EDGES = [(i, (i + 1) % 7) for i in range(7)] + [
+    (0, 7), (1, 7), (2, 8), (3, 9), (4, 9), (5, 10), (6, 10), (7, 11), (8, 11), (8, 9), (10, 11),
+]
+
+
+def random_cubic(seed: int, n: int) -> Graph:
+    """Seeded random simple cubic graph on n vertices: pair up 3n points until no loop or double edge."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            return Graph.from_edges(n, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        Graph.from_edges(12, FRUCHT_EDGES),
+        random_cubic(10, 10),
+        random_cubic(12, 12),
+        random_cubic(14, 14),
+    ],
+    ids=["C3+C4", "frucht", "cubic-10", "cubic-12", "cubic-14"],
+)
+def test_regular_graph_relabeling_invariance(g):
+    # equitable refinement cannot split a regular graph's unit cell, so the
+    # search branches on every vertex and only the automorphism pruning
+    # stands between its leaves and a second form
+    assert all(a.bit_count() == g.adj[0].bit_count() for a in g.adj)
+    rng = random.Random(g.n)
+    base = canonical_form(g)
+    for _ in range(20):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == base
+
+
 @pytest.mark.parametrize("n,expected_classes", [(2, 2), (3, 4), (4, 11), (5, 34)])
 def test_complete_on_all_labeled_graphs(n, expected_classes):
     # distinct canonical forms over all labeled graphs must hit the known

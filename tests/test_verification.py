@@ -1,6 +1,5 @@
 """Extremal reports, structural consequences, lemma harness, table."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -259,13 +258,12 @@ class TestRandomGenerators:
         return random.Random(seed), random.Random(seed)
 
     def test_draw_equals_randrange(self):
-        # one call for a whole sequence makes the getrandbits calls of one
-        # randrange per value, redraws included
+        # each draw makes the getrandbits calls of one randrange, redraws included
         sizes = list(range(1, 301)) + [2**k + d for k in range(1, 41) for d in (-1, 0, 1)]
         for n in sizes:
             ours, theirs = self.twins(n)
             for count in (1, 1, 0, 2, 7, 62):
-                got = verification._draws(ours, n, count)
+                got = [verification._draw(ours, n) for _ in range(count)]
                 assert got == [theirs.randrange(n) for _ in range(count)], (n, count)
                 assert ours.getstate() == theirs.getstate(), (n, count)
 
@@ -274,7 +272,7 @@ class TestRandomGenerators:
         # a scripted stream with no values fails any draw at once, where a
         # draw below n < 1 from a real stream would never end
         with pytest.raises(ValueError):
-            verification._draws(ScriptedRandom(()), n, 1)
+            verification._draw(ScriptedRandom(()), n)
 
     def test_random_tree_matches_the_heap_decode(self):
         for n in range(1, 65):
@@ -335,7 +333,7 @@ class TestExtremalTable:
         # only its graph
         row = next(r for r in extremal_table(n_max=7) if (r.p, r.q) == (3, 4))
         assert row.ok and row.min_graph_match
-        off = dataclasses.replace(row, min_wiener=row.min_wiener + 1)
+        off = row._replace(min_wiener=row.min_wiener + 1)
         assert off.min_graph_match
         assert not off.ok
 
