@@ -55,9 +55,9 @@ FRUCHT_EDGES = [(i, (i + 1) % 7) for i in range(7)] + [
 ]
 
 
-def random_cubic(seed: int, n: int) -> Graph:
-    """Seeded random simple cubic graph on n vertices: pair up 3n points until no loop or double edge."""
-    rng = random.Random(seed)
+def random_cubic(n: int) -> Graph:
+    """Random simple cubic graph on n vertices, seeded by n: pair up 3n points until no loop or double edge."""
+    rng = random.Random(n)
     while True:
         points = [v for v in range(n) for _ in range(3)]
         rng.shuffle(points)
@@ -71,16 +71,16 @@ def random_cubic(seed: int, n: int) -> Graph:
     [
         Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
         Graph.from_edges(12, FRUCHT_EDGES),
-        random_cubic(10, 10),
-        random_cubic(12, 12),
-        random_cubic(14, 14),
+        random_cubic(10),
+        random_cubic(12),
+        random_cubic(14),
     ],
     ids=["C3+C4", "frucht", "cubic-10", "cubic-12", "cubic-14"],
 )
 def test_regular_graph_relabeling_invariance(g):
     # equitable refinement cannot split a regular graph's unit cell, so the
-    # search branches on every vertex and only the automorphism pruning
-    # stands between its leaves and a second form
+    # search branches at once, and an automorphism test that prunes a branch
+    # it should keep gives some relabeling a second form
     assert all(a.bit_count() == g.adj[0].bit_count() for a in g.adj)
     rng = random.Random(g.n)
     base = canonical_form(g)
