@@ -26,9 +26,9 @@ bracelets directly and never compares two graphs:
   the first. So the ids at L - 1 of one odd-depth count share one id
   range of last beads per target; these ranges depend only on the
   vertices left, the colour count and the first bead, and are found
-  once per search. Position L - 2 looks them up per odd-depth count of
-  the bead it places, so position L - 1 is entered only where a last
-  bead fits.
+  once per search, the first time position L - 1 asks for them. Position
+  L - 2 places its bead as every earlier position does, and position
+  L - 1 returns at once where no last bead fits.
 * **Reversal test from the head.** Only a rotation of the reversal that
   starts with a[1], the least bead, can be below a necklace, and the one
   read back from a bead a[t] = a[1] starts a[t..1]. So when the recursion
@@ -67,11 +67,11 @@ bracelets directly and never compares two graphs:
   sum at the leaf: W is carried down the recursion. A bead of size s at
   t adds its n * D - Q and s times its pull, the sum of s_i * d_C(i, t)
   over the beads before it; the pull at t + 1 is one sum per call plus
-  s. Position L - 1 is entered only where a last bead fits, and only a
-  sequence drawn from a non-empty last-bead range is built; only the
-  least last bead of each bead at L - 1 is compared with the rotations of
-  its reversal that start with its first (least) bead, found by
-  ``tuple.index``.
+  s. Position L - 1 builds its head only where a last bead fits, and
+  only a sequence drawn from a non-empty last-bead range is built; only
+  the least last bead of each bead at L - 1 is compared with the
+  rotations of its reversal that start with its first (least) bead,
+  found by ``tuple.index``.
 * **Bracelet codes.** ``RootedTrees.bracelet_code`` maps a connected
   unicyclic graph back to the tree ids the search emits for its class.
   The leaf peel that finds the cycle also yields the hanging trees, and
@@ -91,6 +91,7 @@ pays one canonical form per class.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -256,8 +257,6 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
     base = [n * d - sq for d, sq in zip(trees.depth_sum[:beads], trees.square_sum[:beads])]
     targets = (p,) if p == q else (p, q)  # final counts of cycle vertex 0's colour
     out: list[tuple[int, tuple[int, ...]]] = []
-    # (rest, colour, a[1]) -> (nonlow, top, groups); see fits
-    lasts: dict[tuple[int, int, int], tuple[int, int, list[tuple[int, range, list[range]]]]] = {}
 
     def last_beads(last: list[int], c: int, above: int) -> list[range]:
         # the non-empty id ranges of last beads from above up, one per target y,
@@ -277,19 +276,19 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             return spans
         return [span if span.start >= bound else range(bound, span.stop) for span in spans if span.stop > bound]
 
-    def fits(rest: int, colour: int, first: int) -> tuple[int, int, list[tuple[int, range, list[range]]]]:
-        # What position L - 1 can close with, when the last two beads share
-        # rest vertices, colour counts cycle vertex 0's colour so far and
-        # a[1] = first; the same for every cycle length, so kept in lasts.
-        # Any bead j at L - 1 but the low one makes the period L - 1, which
-        # never divides L, so its last bead k exceeds first. A j of size s
-        # with o odd-depth vertices leaves k r = rest - s vertices, y - c of
-        # them at odd depth for target y, where c = colour + s - o, so the j
-        # of one odd count share their spans of k. groups holds (s, ids,
-        # spans) per odd count that has a k, in id order, with only the
-        # non-empty spans; nonlow is the end of its last ids. With first
-        # itself at L - 1, a last bead of at least id b fits exactly when
-        # b < top. extend's most leaves rest >= 2 * size[first].
+    @cache
+    def fits(rest: int, colour: int, first: int) -> list[tuple[int, range, list[range]]]:
+        # The beads after the low one that position L - 1 can close with,
+        # when the last two beads share rest vertices, colour counts cycle
+        # vertex 0's colour so far and a[1] = first; the same for every cycle
+        # length, so cached for the search. Any bead j at L - 1 but the low
+        # one makes the period L - 1, which never divides L, so its last bead
+        # k exceeds first. A j of size s with o odd-depth vertices leaves k
+        # r = rest - s vertices, y - c of them at odd depth for target y,
+        # where c = colour + s - o, so the j of one odd count share their
+        # spans of k. The groups are (s, ids, spans) per odd count that has
+        # a k, in id order, with only the non-empty spans. extend's most
+        # leaves rest >= 2 * size[first].
         groups = []
         for s in range(size[first], rest - size[first] + 1):
             r = rest - s
@@ -305,11 +304,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     spans = last_beads(last, shift - o, above)
                     if spans:
                         groups.append((s, range(b[o], b[o + 1]), spans))
-        s = size[first]
-        spans = last_beads(bounds[rest - s], colour + s - odd[first], 0)
-        fit = (groups[-1][1].stop if groups else 0, spans[-1].stop if spans else 0, groups)
-        lasts[rest, colour, first] = fit
-        return fit
+        return groups
 
     for length in range(4, n + 1, 2):
         a = [0] * length  # a[1..length - 1]; a[0] is the recursion's sentinel
@@ -345,6 +340,7 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
             ceil = colour + rest - k_even
             flip = t % 2  # an odd position adds s - odd[j], an even one odd[j]
             reach = sum(map(mul, sizes[1:t], hops[length - t - 1 :]))  # the pull at t + 1, less s
+            step = extend if t < length - 2 else close
             for s in range(size[low], most + 1):
                 b, start = bounds[s], low
                 sizes[t] = s
@@ -356,80 +352,50 @@ def unicyclic_classes(spec: EnumSpec, trees: RootedTrees | None = None) -> list[
                     j = start if start > first_id else first_id
                     if stop > start:
                         start = stop
-                    if t < length - 2:
-                        for j in range(j, stop):
-                            a[t] = j
-                            bound = j if least < 0 else least
-                            if j == a[1]:  # head prune: the reversal read back from a[t] starts a[t..1]
-                                ahead, back = a[1 : t + 1], a[t:0:-1]
-                                if back < ahead:
-                                    continue
-                                if back == ahead:  # a palindrome a[1..t] bounds the last bead by a[t + 1]
-                                    bound = -1
-                            extend(
-                                t + 1,
-                                period if j == low else t,
-                                used + s,
-                                colour + (s - odd[j] if flip else odd[j]),
-                                w_s + base[j],
-                                reach + s,
-                                bound,
-                            )
-                        continue
-                    # t = L - 2, an even position: one odd count at a time, call
-                    # close only for the j after which some last bead fits
-                    while j < stop:
-                        end, c = b[odd[j] + 1], colour + odd[j]
-                        key = (rest - s, c, a[1])
-                        nonlow, top, _ = lasts.get(key) or fits(*key)
-                        for j in range(j, end):
-                            a[t] = j
-                            bound = j if least < 0 else least
-                            if j == low:  # keeps the period; only it can equal a[1]
-                                if j == a[1]:  # head prune, as above
-                                    ahead, back = a[1 : t + 1], a[t:0:-1]
-                                    if back < ahead:
-                                        continue
-                                    if back == ahead:
-                                        bound = -1
-                                if nonlow > a[t + 1 - period] + 1 or low_spans(t + 1, period, rest - s, c, bound):
-                                    close(t + 1, period, used + s, c, w_s + base[j], reach + s, bound)
-                            # any other j makes the period t, so a[1] is the low bead
-                            # at L - 1, and its last bead is at least a[2], plus 1
-                            # unless L = 4, where a[2] is j itself
-                            elif nonlow > a[1] + 1 or a[2] + (length > 4) < top:
-                                close(t + 1, t, used + s, c, w_s + base[j], reach + s, bound)
-                        j = end
-
-        def low_spans(t: int, period: int, rest: int, colour: int, least: int) -> list[range]:
-            # The last beads after low = a[t - period] at t = L - 1, which keeps
-            # the period, so FKM bounds the last bead by a[L - period], plus 1
-            # unless the period divides L, and the last-bead bound by least, or
-            # by low itself after a palindromic head; the empty spans are left out.
-            low = a[t - period]
-            s = size[low]
-            if s > rest - size[a[1]]:  # no last bead as large as a[1] is left
-                return []
-            a[t] = low  # a period of 1 reads a[t]
-            above = a[length - period] + (length % period > 0)
-            if least < 0:
-                least = low
-            return last_beads(bounds[rest - s], colour + s - odd[low], above if above > least else least)
+                    for j in range(j, stop):
+                        a[t] = j
+                        bound = j if least < 0 else least
+                        if j == a[1]:  # head prune: the reversal read back from a[t] starts a[t..1]
+                            ahead, back = a[1 : t + 1], a[t:0:-1]
+                            if back < ahead:
+                                continue
+                            if back == ahead:  # a palindrome a[1..t] bounds the last bead by a[t + 1]
+                                bound = -1
+                        step(
+                            t + 1,
+                            period if j == low else t,
+                            used + s,
+                            colour + (s - odd[j] if flip else odd[j]),
+                            w_s + base[j],
+                            reach + s,
+                            bound,
+                        )
 
         def close(t: int, period: int, used: int, colour: int, w: int, pull: int, least: int) -> None:
-            # t = length - 1 places the last two beads: the low bead, then the
-            # later beads of each odd-count group in fits, in id order. A bead
-            # of size s here leaves r = rest - s vertices for the last one.
-            # Every last bead is at least least, or at least the bead j before
-            # it when least is -1: the head a[1..L - 2] is then a palindrome,
-            # so the clip is made per j.
-            low, rest, head = a[t - period], n - used, tuple(a[1:t])
+            # t = length - 1 places the last two beads: the low bead
+            # a[t - period], which keeps the period, then the later beads of
+            # each odd-count group in fits, in id order. A bead of size s here
+            # leaves r = rest - s vertices for the last one. After the low bead
+            # FKM bounds the last bead by a[L - period], plus 1 unless the
+            # period divides L. Every last bead is at least least, or at least
+            # the bead j before it when least is -1: the head a[1..L - 2] is
+            # then a palindrome, so the clip is made per j. Where no last bead
+            # fits, close returns before it builds the head.
+            low, rest = a[t - period], n - used
+            s, spans = size[low], []
+            if s <= rest - size[a[1]]:  # some last bead as large as a[1] is left
+                a[t] = low  # a period of 1 reads a[t]
+                above = a[length - period] + (length % period > 0)
+                bound = low if least < 0 else least
+                spans = last_beads(bounds[rest - s], colour + s - odd[low], above if above > bound else bound)
+            groups = fits(rest, colour, a[1])
+            if not spans and (not groups or groups[-1][1].stop <= low + 1):
+                return
+            head = tuple(a[1:t])
             reach = sum(map(mul, sizes[1:t], hops))  # the pull at length, less s
-            spans = low_spans(t, period, rest, colour, least)
             if spans:
-                s = size[low]
                 _append_bracelets(head, (low,), spans, w + s * pull + (rest - s) * (reach + s), base, out)
-            for s, ids, spans in lasts[rest, colour, a[1]][2]:
+            for s, ids, spans in groups:
                 if ids.stop > low + 1:
                     beads = ids if ids.start > low else range(low + 1, ids.stop)
                     w_s = w + s * pull + (rest - s) * (reach + s)
@@ -457,10 +423,11 @@ def _append_bracelets(
     W is w + base[j] + base[k]. Each is a necklace, so only a rotation of
     its reversal that starts with head[0], its least bead, can be less.
     The search has decided every such rotation that starts in the head, and
-    started the spans at the last-bead bound; a j equal to head[0] is
-    decided here by the rotation read back from it, once per j, and a k
-    equal to head[0] makes the necklace constant. So only the least k,
-    spans[0][0], can tie, and only it is compared with those rotations.
+    started the spans at the last-bead bound. Only the low bead at L - 1,
+    which ``beads`` then holds alone, can equal head[0]; it is decided here
+    by the rotation read back from it, and a k equal to head[0] makes the
+    necklace constant. So only the least k, spans[0][0], can tie, and only
+    it is compared with those rotations.
     """
     first, back, tie = head[0], head[::-1], spans[0][0]
     for j in beads:

@@ -7,6 +7,7 @@ The comparison with the labeled-graph oracle is acceptance criterion 7
 import gc
 import os
 import random
+import sys
 
 import pytest
 
@@ -181,8 +182,9 @@ def test_stream_does_not_depend_on_table_size():
 
 
 def test_every_last_bead_call_gets_a_non_empty_span(monkeypatch):
-    # position L - 1 is entered only where a last bead fits, and it passes on
-    # only the non-empty last-bead ranges, clipped at the last-bead bound; for
+    # position L - 1 returns before it builds a head where no last bead fits,
+    # and it passes on only the non-empty last-bead ranges, clipped at the
+    # last-bead bound; for
     # each bead j at L - 1, the accepted last beads are all of the spans laid
     # end to end, all but the first, or none (orders 15 and 16 need WU_ACCEPT_N13)
     calls = []
@@ -205,6 +207,58 @@ def test_every_last_bead_call_gets_a_non_empty_span(monkeypatch):
             unicyclic_classes(EnumSpec(p, n - p))
     assert calls
     assert [call for call in calls if not call[1] or not all(call[2])] == []
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (13, dict(extend=561, fits=128, close=708, _append_bracelets=1103, candidates=5695,
+                  _reversal_below=1485, reversals_below=102, classes=5582)),
+        pytest.param(
+            16,
+            dict(extend=10569, fits=490, close=15943, _append_bracelets=18504, candidates=132826,
+                 _reversal_below=30962, reversals_below=2700, classes=129254),
+            marks=pytest.mark.skipif(not os.environ.get("WU_ACCEPT_N13"), reason="order 16 needs WU_ACCEPT_N13"),
+        ),
+    ],
+    ids=["n13", "n16"],
+)
+def test_search_work_is_pinned(monkeypatch, n, expected):
+    # the search's work summed over every pair of one order, so that a
+    # weakened prune, which keeps the class stream, still fails a test; the
+    # nested extend, close and fits are counted by name under a profile
+    # hook, and fits only where its cache misses
+    counts = dict.fromkeys(expected, 0)
+    append, below = enumeration._append_bracelets, enumeration._reversal_below
+
+    def counting_append(head, beads, spans, w, base, out):
+        counts["_append_bracelets"] += 1
+        counts["candidates"] += len(beads) * sum(map(len, spans))
+        append(head, beads, spans, w, base, out)
+
+    def counting_below(seq, rev, first):
+        counts["_reversal_below"] += 1
+        found = below(seq, rev, first)
+        counts["reversals_below"] += found
+        return found
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == enumeration.__file__ and code.co_name in nested:
+            counts[code.co_name] += 1
+
+    nested = {"extend", "close", "fits"}
+    monkeypatch.setattr(enumeration, "_append_bracelets", counting_append)
+    monkeypatch.setattr(enumeration, "_reversal_below", counting_below)
+    table = RootedTrees(n - 3)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for p in range(2, n // 2 + 1):
+            counts["classes"] += len(unicyclic_classes(EnumSpec(p, n - p), table))
+    finally:
+        sys.setprofile(previous)
+    assert counts == expected
 
 
 def test_search_rejects_a_table_below_its_order():
