@@ -184,9 +184,9 @@ def test_stream_does_not_depend_on_table_size():
 def test_every_last_bead_call_gets_a_non_empty_span(monkeypatch):
     # position L - 1 returns before it builds a head where no last bead fits,
     # and it passes on only the non-empty last-bead ranges, clipped at the
-    # last-bead bound; for
-    # each bead j at L - 1, the accepted last beads are all of the spans laid
-    # end to end, all but the first, or none (orders 15 and 16 need WU_ACCEPT_N13)
+    # last-bead bound; for each bead j at L - 1, the accepted last beads are
+    # all of the spans laid end to end, all but the first, or none (orders 15
+    # and 16 need WU_ACCEPT_N13)
     calls = []
     append = enumeration._append_bracelets
 
@@ -242,12 +242,13 @@ def test_search_work_is_pinned(monkeypatch, n, expected):
         counts["reversals_below"] += found
         return found
 
+    nested = {"extend", "close", "fits"}
+
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename == enumeration.__file__ and code.co_name in nested:
             counts[code.co_name] += 1
 
-    nested = {"extend", "close", "fits"}
     monkeypatch.setattr(enumeration, "_append_bracelets", counting_append)
     monkeypatch.setattr(enumeration, "_reversal_below", counting_below)
     table = RootedTrees(n - 3)
