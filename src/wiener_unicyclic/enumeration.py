@@ -143,10 +143,8 @@ class RootedTrees:
     A tree of size s > 1 is grown once, from the smaller tree t that is
     itself without its last child c: |c| = s - |t|, and c's id is at least
     every child id of t. Its columns are children(t) + (c,),
-    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2. The
-    trees of size s are grown per size pair (|t|, |c|): c's terms are
-    listed once per pair, and c starts at t's last child, kept per id
-    while the table is built.
+    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2, and
+    c starts at t's last child, kept per id while the table is built.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -170,23 +168,15 @@ class RootedTrees:
             bounds.append([first])  # first(s) while the trees of size s are built
             # (odd, children, D, Q, last child) of the single vertex, or of each
             # smaller tree t plus a last child c of size r = s - |t|, sorted by
-            # (odd, children); c's terms r - odd, D + r and Q + r^2 are
-            # computed once per (|t|, r)
-            if s == 1:
-                grown = [(0, (), 0, 0, 0)]
-            else:
-                grown = []
-                for r in range(1, s):
-                    lo, hi = bounds[r][0], bounds[r + 1][0]
-                    c_odd = [r - o for o in odd[lo:hi]]
-                    c_dsum = [d + r for d in dsum[lo:hi]]
-                    c_qsum = [x + r * r for x in qsum[lo:hi]]
-                    for t in range(bounds[s - r][0], bounds[s - r + 1][0]):
-                        o, k, d, x = odd[t], kids[t], dsum[t], qsum[t]
-                        for c in range(last[t] if last[t] > lo else lo, hi):
-                            i = c - lo
-                            grown.append((o + c_odd[i], k + (c,), d + c_dsum[i], x + c_qsum[i], c))
-                grown.sort()
+            # (odd, children)
+            grown = [(0, (), 0, 0, 0)] if s == 1 else []
+            for t in range(first):
+                r = s - size[t]
+                lo, hi = bounds[r][0], bounds[r + 1][0]
+                for c in range(last[t] if last[t] > lo else lo, hi):
+                    grown.append((odd[t] + r - odd[c], kids[t] + (c,),
+                                  dsum[t] + dsum[c] + r, qsum[t] + qsum[c] + r * r, c))
+            grown.sort()
             for column, values in zip((odd, kids, dsum, qsum, last), zip(*grown)):
                 column.extend(values)
             size.extend([s] * len(grown))

@@ -5,6 +5,7 @@ The comparison with the labeled-graph oracle is acceptance criterion 7
 """
 
 import gc
+import hashlib
 import os
 import random
 import sys
@@ -144,6 +145,29 @@ def test_odd_count_bounds_read_as_clamped():
             ids = range(row[o], row[o + 1])
             assert all(table.size[t] == s and table.odd[t] == o for t in ids)
         assert sum(len(range(row[o], row[o + 1])) for o in range(s)) == table.size.count(s)
+
+
+@pytest.mark.parametrize(
+    "max_size, digest",
+    [
+        (15, "f72b5aad64041873f586eb158bc71a85379253f080b24d8232619a638320a9de"),
+        pytest.param(
+            17,
+            "0618b77d9c30f28a1fb83059fd5be5e0628c6b76094a1343c826de7544f07dfe",
+            marks=pytest.mark.skipif(not os.environ.get("WU_ACCEPT_N13"), reason="size 17 needs WU_ACCEPT_N13"),
+        ),
+    ],
+    ids=["size15", "size17"],
+)
+def test_tree_table_is_pinned(max_size, digest):
+    # the sha256 of every column and of bounds, so every tree keeps its id
+    # and its numbers; the class-stream record reads beads of up to 13
+    # vertices, and orders 17 to 20 read trees of up to 17
+    trees = RootedTrees(max_size)
+    h = hashlib.sha256()
+    for column in (trees.children, trees.size, trees.depth_sum, trees.square_sum, trees.odd, trees.bounds):
+        h.update(repr(column).encode())
+    assert h.hexdigest() == digest
 
 
 def test_class_stream_is_every_bracelet_in_order():
