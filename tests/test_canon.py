@@ -105,7 +105,7 @@ def test_complete_on_all_labeled_graphs(n, expected_classes):
     # distinct canonical forms over all labeled graphs must hit the known
     # number of unlabeled graphs exactly: no collisions, no over-splitting;
     # the sha256 of the sorted forms pins their bytes, which a refinement
-    # that splits cells in another order changes without changing the count
+    # that splits cells differently can change without changing the count
     pairs = list(itertools.combinations(range(n), 2))
     forms = set()
     for bitsel in range(1 << len(pairs)):
