@@ -8,11 +8,19 @@ one *bracelet* whose beads are rooted trees. The enumerator lists those
 bracelets directly and never compares two graphs:
 
 * **Rooted trees.** Every rooted tree on up to n - 3 vertices (the most
-  one tree can take beside a 4-cycle) gets an integer id, smaller trees
-  first; a tree is the sorted tuple of its children's ids, so equal
-  trees get equal ids. Each tree is built once, from one parent: itself
-  without its last (largest) child (McKay, "Isomorph-free exhaustive
-  generation", 1998). Its numbers follow from the parent's and the child's.
+  one tree can take beside a 4-cycle) gets an integer id: smaller trees
+  first, then fewer vertices at odd depth, then by the ascending tuple of
+  its children's ids, so equal trees get equal ids. A tree is stored as
+  one pair, its least child c and its rest y, itself without c, and its
+  numbers follow from c's and y's (a canonical parent, in the spirit of
+  McKay, "Isomorph-free exhaustive generation", 1998). Two trees of one
+  size and odd count with the same c have rests of one size and odd
+  count, whose ids run as their tuples do, so the pairs (c, y) increase
+  with the id. Every child of y is at least c, so y is the single vertex
+  or |y| >= |c| + 1, that is |c| <= (s - 1) // 2 for a tree of s
+  vertices. So each size is written straight in id order, one block per
+  c, each block a suffix of one id range of rests: no sort, and no
+  lookup over trees.
 * **Bracelets.** For each cycle length L = 4, 6, ..., n the
   Fredricksen-Kessler-Maiorana recursion lists, in lexicographic order,
   every sequence of L tree ids of total size n that is the least of its
@@ -92,7 +100,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .canon import CANONICAL_MAX_VERTICES, canonical_form, graph_from_canonical
@@ -136,55 +145,85 @@ class RootedTrees:
     Ids run by size, and within one size by the number of vertices at odd
     depth, so the trees of size s with o to o' odd-depth vertices are the
     ids ``bounds[s][o]`` to ``bounds[s][o' + 1]``. Per id the table holds
-    the children's ids, the size, the depth sum D, the sum Q of squared
-    subtree sizes over non-root vertices, and the number of vertices at
-    odd depth; ``tree_id`` maps each tuple of children's ids back to its id.
+    the size, the depth sum D, the sum Q of squared subtree sizes over
+    non-root vertices, the number of vertices at odd depth, and the pair
+    ``(first, rest)`` that ``children`` unfolds: a tree t of size s > 1 is
+    its least child c = ``first[t]`` beside y = ``rest[t]``, t without c,
+    which is the single vertex 0 when c is t's only child. Its columns are
+    odd(y) + |c| - odd(c), D(y) + D(c) + |c| and Q(y) + Q(c) + |c|^2.
 
-    A tree of size s > 1 is grown once, from the smaller tree t that is
-    itself without its last child c: |c| = s - |t|, and c's id is at least
-    every child id of t. Its columns are children(t) + (c,),
-    odd(t) + |c| - odd(c), D(t) + D(c) + |c| and Q(t) + Q(c) + |c|^2, and
-    c starts at t's last child, kept per id while the table is built.
+    Within one (size, odd) range the ids run by the ascending tuple of
+    children's ids, and the pairs ``(first, rest)`` increase with them:
+    trees with different c compare by c, the first entry of their tuples,
+    and two trees of size s and odd count o with the same c have rests of
+    size s - |c| and odd count o - |c| + odd(c), one range whose ids run
+    by the rest of the tuple, by induction. Every child of y is at least c,
+    so has at least |c| vertices; so y is the single vertex, or
+    s = |c| + |y| >= 2|c| + 1, that is |c| <= (s - 1) // 2. So the trees
+    of size s and odd count o are written in id order, block by block: for
+    each c of at most (s - 1) // 2 vertices in id order, the rests of
+    their size and odd count whose own first child is at least c, a suffix
+    of that range found by one bisection of ``first``; then the one-child
+    trees, whose c has s - 1 vertices, more than any earlier c, and
+    s - 1 - o of them at odd depth.
     """
 
     def __init__(self, max_size: int) -> None:
-        self.children: list[tuple[int, ...]] = []
-        self.size: list[int] = []
-        self.depth_sum: list[int] = []
-        self.square_sum: list[int] = []
-        self.odd: list[int] = []
+        if max_size < 1:
+            raise ValueError(f"a rooted-tree table needs max_size >= 1, not {max_size}")
+        # the single vertex, id 0; its first and rest are never read, and a
+        # rest of 0 ends every walk down the rests
+        self.first: list[int] = [0]
+        self.rest: list[int] = [0]
+        self.size: list[int] = [1]
+        self.depth_sum: list[int] = [0]
+        self.square_sum: list[int] = [0]
+        self.odd: list[int] = [0]
         # bounds[s][o]: first id of size s with o (or more) odd-depth vertices.
         # A row takes any o from -pad to pad - 1, where pad is the order of the
         # graphs the table serves, and a search asks for no more: o > s reads
         # as s, o < 0 wraps into a tail that reads as 0, and so an odd-count
         # window that holds no tree is an empty id range.
         pad = max_size + 3
-        self.bounds: list[list[int]] = [[0]]
-        kids, size, odd, bounds = self.children, self.size, self.odd, self.bounds
+        self.bounds: list[list[int]] = [[0], [0, 1] + [1] * (pad - 2) + [0] * pad]
+        first, rest, size, odd, bounds = self.first, self.rest, self.size, self.odd, self.bounds
         dsum, qsum = self.depth_sum, self.square_sum
-        last: list[int] = []  # last[t]: the id of t's last child, 0 for the single vertex
-        for s in range(1, max_size + 1):
-            first = len(size)
-            bounds.append([first])  # first(s) while the trees of size s are built
-            # (odd, children, D, Q, last child) of the single vertex, or of each
-            # smaller tree t plus a last child c of size r = s - |t|, sorted by
-            # (odd, children)
-            grown = [(0, (), 0, 0, 0)] if s == 1 else []
-            for t in range(first):
-                r = s - size[t]
-                lo, hi = bounds[r][0], bounds[r + 1][0]
-                for c in range(last[t] if last[t] > lo else lo, hi):
-                    grown.append((odd[t] + r - odd[c], kids[t] + (c,),
-                                  dsum[t] + dsum[c] + r, qsum[t] + qsum[c] + r * r, c))
-            grown.sort()
-            for column, values in zip((odd, kids, dsum, qsum, last), zip(*grown)):
-                column.extend(values)
-            size.extend([s] * len(grown))
-            row = [bisect_left(odd, o, first) for o in range(s + 1)]
-            bounds[s] = row + [row[s]] * (pad - s - 1) + [first] * pad
+        for s in range(2, max_size + 1):
+            start = len(size)
+            small = bounds[(s - 1) // 2 + 1][0]  # the c of a tree with two or more children
+            top = bounds[s - 1]  # the c of a one-child tree
+            row = []
+            for o in range(s):
+                row.append(len(first))
+                for c in range(small):
+                    r = size[c]
+                    k = o - r + odd[c]  # the rests' odd count
+                    lo, hi = bounds[s - r][k], bounds[s - r][k + 1]
+                    if lo < hi:
+                        lo = bisect_left(first, c, lo, hi)
+                        first.extend(repeat(c, hi - lo))
+                        rest.extend(range(lo, hi))
+                        dsum.extend(map(add, dsum[lo:hi], repeat(dsum[c] + r)))
+                        qsum.extend(map(add, qsum[lo:hi], repeat(qsum[c] + r * r)))
+                lo, hi = top[s - 1 - o], top[s - o]
+                first.extend(range(lo, hi))
+                rest.extend(repeat(0, hi - lo))
+                dsum.extend(map(add, dsum[lo:hi], repeat(s - 1)))
+                qsum.extend(map(add, qsum[lo:hi], repeat((s - 1) * (s - 1))))
+                odd.extend(repeat(o, len(first) - row[o]))
+            row.append(len(first))
+            size.extend(repeat(s, len(first) - start))
+            bounds.append(row + [row[s]] * (pad - s - 1) + [start] * pad)
         bounds.append([len(size)])
         self.max_size = max_size
-        self.tree_id = {c: t for t, c in enumerate(kids)}
+
+    def children(self, t: int) -> tuple[int, ...]:
+        """The ids of tree ``t``'s children, ascending: its least child, then its rest's."""
+        first, rest, kids = self.first, self.rest, []
+        while t:
+            kids.append(first[t])
+            t = rest[t]
+        return tuple(kids)
 
     def graph(self, ids: Sequence[int]) -> Graph:
         """The cycle 0, 1, ..., L-1 with tree ``ids[i]`` rooted at vertex i."""
@@ -194,7 +233,7 @@ class RootedTrees:
         n = length
         while stack:
             v, t = stack.pop()
-            for c in self.children[t]:
+            for c in self.children(t):
                 edges.append((v, n))
                 stack.append((n, c))
                 n += 1
@@ -203,24 +242,37 @@ class RootedTrees:
     def bracelet_code(self, g: Graph) -> tuple[int, ...]:
         """The tree ids around the cycle of connected unicyclic ``g``, as the search emits them.
 
-        Each vertex of a hanging tree gets its id bottom up from the sorted
-        tuple of its children's ids (Aho, Hopcroft and Ullman, 1974), and the
-        code is the least of the 2L rotations and reflections of the roots'
-        ids. Two such graphs are isomorphic exactly when their codes agree,
-        so ``bracelet_code(graph(ids)) == ids`` for every pair ``(w, ids)``
+        Each vertex of a hanging tree gets its id bottom up from its
+        children's ids (Aho, Hopcroft and Ullman, 1974), adding them largest
+        first: a one-child tree (c, 0) sits at c's offset from the end of
+        its (size, odd) range, and each later (c, y) is found by bisecting
+        ``first`` and then ``rest`` within its range. The code is the
+        least of the 2L rotations and reflections of the roots' ids. Two
+        such graphs are isomorphic exactly when their codes agree, so
+        ``bracelet_code(graph(ids)) == ids`` for every pair ``(w, ids)``
         that ``unicyclic_classes`` returns with this table, under any
         labeling. Raises ``ValueError`` when ``g`` is not connected unicyclic
         or a hanging tree has more than ``max_size`` vertices.
         """
         peeled, cycle, children = _peel_leaves(g)
-        tree_id, tree = self.tree_id, [0] * g.n  # tree[v]: the id of the subtree at v
+        first, rest, size, odd, bounds = self.first, self.rest, self.size, self.odd, self.bounds
+        max_size, tree = self.max_size, [0] * g.n  # tree[v]: the id of the subtree at v
         for v in peeled + cycle:  # each vertex after its children
-            key = tuple(sorted([tree[c] for c in bits(children[v])]))
-            if key not in tree_id:
-                raise ValueError(
-                    f"a hanging tree has more than the table's {self.max_size} vertices"
-                )
-            tree[v] = tree_id[key]
+            if not children[v]:
+                continue  # a leaf is the single vertex, id 0
+            y = 0
+            for c in sorted([tree[c] for c in bits(children[v])], reverse=True):
+                s = size[y] + size[c]
+                if s > max_size:
+                    raise ValueError(f"a hanging tree has more than the table's {max_size} vertices")
+                o = odd[y] + size[c] - odd[c]
+                row = bounds[s]
+                if y:
+                    lo = bisect_left(first, c, row[o], row[o + 1])
+                    y = bisect_left(rest, y, lo, bisect_left(first, c + 1, lo, row[o + 1]))
+                else:  # the one-child trees end their odd count's range, in the order of c
+                    y = row[o + 1] - bounds[s - 1][s - o] + c
+            tree[v] = y
         ids = [tree[v] for v in cycle]
         return min(tuple(s[k:] + s[:k]) for s in (ids, ids[::-1]) for k in range(len(ids)))
 

@@ -224,7 +224,7 @@ def bracelet_stream(p: int, q: int, table) -> list[tuple[int, ...]]:
     def levels(t: int) -> tuple[int, int]:
         """(vertices at even depth, vertices at odd depth) of tree ``t``."""
         even, odd = 1, 0
-        for c in table.children[t]:
+        for c in table.children(t):
             c_even, c_odd = levels(c)
             even, odd = even + c_odd, odd + c_even
         return even, odd

@@ -110,20 +110,40 @@ def test_count_matches_stream_length():
     assert count_classes(spec) == len(list(enumerate_unicyclic_bipartite(spec)))
 
 
+# unlabeled rooted tree counts for n = 1..19 (OEIS A000081)
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811, 235381,
+           634847, 1721159, 4688676]
+
+
 def test_rooted_tree_counts_are_correct():
-    # unlabeled rooted tree counts for n = 1..12 (OEIS A000081)
-    known = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
     table = RootedTrees(12)
     assert table.size == sorted(table.size)
-    assert [table.size.count(s) for s in range(1, 13)] == known
-    assert len(set(table.children)) == len(table.children)
+    assert [table.size.count(s) for s in range(1, 13)] == A000081[:12]
+    children = [table.children(t) for t in range(len(table.size))]
+    assert len(set(children)) == len(children)
+
+
+@pytest.mark.skipif(not os.environ.get("WU_ACCEPT_N13"), reason="size 19 needs WU_ACCEPT_N13")
+def test_rooted_tree_counts_to_size_nineteen():
+    # the 7,421,146 trees that order 22 reads, each size written in its own id range
+    table = RootedTrees(19)
+    assert len(table.size) == sum(A000081) == 7_421_146
+    assert [table.size.count(s) for s in range(1, 20)] == A000081
+    assert [table.bounds[s + 1][0] - table.bounds[s][0] for s in range(1, 20)] == A000081
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_rooted_tree_table_needs_a_vertex(max_size):
+    with pytest.raises(ValueError, match=f"needs max_size >= 1, not {max_size}"):
+        RootedTrees(max_size)
 
 
 def test_rooted_tree_columns_follow_from_children():
     # every column recomputed by summing over all children, ids in (size, odd, children) order
     table = RootedTrees(12)
+    children = [table.children(t) for t in range(len(table.size))]
     size, depth, square, odd = [], [], [], []
-    for t, kids in enumerate(table.children):
+    for t, kids in enumerate(children):
         assert all(c < t for c in kids), t
         assert list(kids) == sorted(kids), t
         size.append(1 + sum(size[c] for c in kids))
@@ -131,8 +151,24 @@ def test_rooted_tree_columns_follow_from_children():
         square.append(sum(square[c] + size[c] ** 2 for c in kids))
         odd.append(sum(size[c] - odd[c] for c in kids))
     assert (table.size, table.depth_sum, table.square_sum, table.odd) == (size, depth, square, odd)
-    keys = list(zip(size, odd, table.children))
+    keys = list(zip(size, odd, children))
     assert keys == sorted(keys)
+
+
+def test_every_tree_is_found_by_its_bracelet_code():
+    # each tree t of up to 12 vertices hung from a 4-cycle and relabeled: the
+    # bisections of bracelet_code lead back to t, and children(t) unfolds
+    # (first[t], rest[t]) into ascending ids
+    rng = random.Random(1998)
+    table = RootedTrees(12)
+    for t in range(len(table.size)):
+        kids = table.children(t)
+        assert list(kids) == sorted(kids), t
+        assert kids[:1] == ((table.first[t],) if t else ()), t
+        g = table.graph((0, 0, 0, t))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert table.bracelet_code(g.relabel(perm)) == (0, 0, 0, t), t
 
 
 def test_odd_count_bounds_read_as_clamped():
@@ -165,7 +201,8 @@ def test_tree_table_is_pinned(max_size, digest):
     # vertices, and orders 17 to 20 read trees of up to 17
     trees = RootedTrees(max_size)
     h = hashlib.sha256()
-    for column in (trees.children, trees.size, trees.depth_sum, trees.square_sum, trees.odd, trees.bounds):
+    children = [trees.children(t) for t in range(len(trees.size))]
+    for column in (children, trees.size, trees.depth_sum, trees.square_sum, trees.odd, trees.bounds):
         h.update(repr(column).encode())
     assert h.hexdigest() == digest
 
