@@ -196,9 +196,10 @@ def test_odd_count_bounds_read_as_clamped():
     ids=["size15", "size17"],
 )
 def test_tree_table_is_pinned(max_size, digest):
-    # the sha256 of every column and of bounds, so every tree keeps its id
-    # and its numbers; the class-stream record reads beads of up to 13
-    # vertices, and orders 17 to 20 read trees of up to 17
+    # the sha256 of every tree's children, every numeric column and bounds,
+    # so every tree keeps its id and its numbers; the class-stream record
+    # reads beads of up to 13 vertices, and orders 17 to 20 read trees of
+    # up to 17
     trees = RootedTrees(max_size)
     h = hashlib.sha256()
     children = [trees.children(t) for t in range(len(trees.size))]
